@@ -4,7 +4,7 @@ Measures, at a configurable trace scale:
 
 * **run_study** — the end-to-end single-process pipeline (plan, synthesise,
   simulate, record) with the columnar CircuitBatch/vectorised path versus
-  the pre-columnar object-per-row path (`repro.workloads.rowpath`),
+  the pre-columnar object-per-row path (`tests/rowpath.py`),
 * **construct** — building the columnar TraceDataset from materialised
   records,
 * **filter_groupby** — vectorised selection/grouping versus record loops,
@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import sys
 import time
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional
@@ -49,12 +50,15 @@ from repro.workloads.generator import (
     plan_submissions,
     record_for,
 )
-from repro.workloads.rowpath import (
+from repro.workloads.trace import _STORED_COLUMNS, TraceDataset
+
+# The row-at-a-time reference is a test oracle and lives beside the tests.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from rowpath import (  # noqa: E402
     RowPathSynthesizer,
     figure_suite_rowpath,
     record_for_rowpath,
 )
-from repro.workloads.trace import _STORED_COLUMNS, TraceDataset
 
 
 def _best_of(repeats: int, action: Callable[[], object]) -> float:

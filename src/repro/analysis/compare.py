@@ -84,11 +84,7 @@ def fidelity_proxy(trace: TraceDataset,
             readout_error = snapshot.average_readout_error()
             t_effective_us = min(snapshot.average_t1_us(),
                                  snapshot.average_t2_us())
-            if snapshot.gates:
-                cx_duration_us = float(np.mean(
-                    [g.duration_ns for g in snapshot.gates.values()])) / 1000.0
-            else:
-                cx_duration_us = 0.0
+            cx_duration_us = snapshot.average_cx_duration_ns() / 1000.0
             rows = started[hours == hour]
             duration_us = cx_depth[rows] * cx_duration_us
             decoherence = (np.exp(-duration_us / t_effective_us)

@@ -191,7 +191,7 @@ def trace_figure_suite(trace: TraceDataset,
 
     This is the vectorised analysis suite the data-plane benchmark times and
     the golden-equivalence test compares against the row-at-a-time reference
-    implementation (:mod:`repro.workloads.rowpath`).  Unlike
+    implementation (``tests/rowpath.py``).  Unlike
     :func:`reproduce_all` it needs no fleet and returns raw arrays/dicts
     rather than a rendered report.
     """

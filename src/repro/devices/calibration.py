@@ -19,12 +19,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from functools import cached_property
+from typing import Dict, List, Optional
+
+import numpy as np
 
 from repro.core.exceptions import DeviceError
 from repro.core.rng import RandomSource
 from repro.core.units import DAY_SECONDS, HOUR_SECONDS
-from repro.devices.topology import CouplingMap
+from repro.devices.topology import CouplingMap, Edge
 
 
 @dataclass(frozen=True)
@@ -60,74 +63,110 @@ class GateCalibration:
             raise DeviceError("gate duration must be positive")
 
 
-@dataclass
 class CalibrationSnapshot:
-    """Full calibration state of a machine at a point in time."""
+    """Full calibration state of a machine at a point in time.
 
-    machine: str
-    epoch: int
-    timestamp: float
-    qubits: List[QubitCalibration]
-    gates: Dict[Tuple[int, int], GateCalibration]
+    The snapshot is array-backed: one numpy column per qubit field (indexed
+    by physical qubit) and one per edge field (indexed by ``edge_index``,
+    which maps each sorted edge of the coupling map to its position).  The
+    aggregates read the columns directly; :attr:`qubits` and :attr:`gates`
+    are per-object views materialised on first access for callers that
+    iterate over them.
+    """
+
+    def __init__(self, machine: str, epoch: int, timestamp: float, *,
+                 t1_us: np.ndarray, t2_us: np.ndarray,
+                 readout_error: np.ndarray, single_qubit_error: np.ndarray,
+                 frequency_ghz: np.ndarray, edge_index: Dict[Edge, int],
+                 cx_error: np.ndarray, cx_duration_ns: np.ndarray):
+        self.machine = machine
+        self.epoch = epoch
+        self.timestamp = timestamp
+        self.t1_us = t1_us
+        self.t2_us = t2_us
+        self.readout_error = readout_error
+        self.single_qubit_error = single_qubit_error
+        self.frequency_ghz = frequency_ghz
+        self.edge_index = edge_index
+        self.cx_error = cx_error
+        self.cx_duration_ns = cx_duration_ns
 
     def qubit(self, index: int) -> QubitCalibration:
-        if not 0 <= index < len(self.qubits):
+        if not 0 <= index < self.num_qubits:
             raise DeviceError(f"qubit {index} out of range")
-        return self.qubits[index]
+        return QubitCalibration(
+            t1_us=float(self.t1_us[index]),
+            t2_us=float(self.t2_us[index]),
+            readout_error=float(self.readout_error[index]),
+            single_qubit_error=float(self.single_qubit_error[index]),
+            frequency_ghz=float(self.frequency_ghz[index]),
+        )
 
     def gate(self, qubit_a: int, qubit_b: int) -> GateCalibration:
-        key = (min(qubit_a, qubit_b), max(qubit_a, qubit_b))
-        try:
-            return self.gates[key]
-        except KeyError:
+        index = self.edge_index.get(
+            (min(qubit_a, qubit_b), max(qubit_a, qubit_b)))
+        if index is None:
             raise DeviceError(
                 f"no calibrated two-qubit gate between {qubit_a} and {qubit_b}"
-            ) from None
+            )
+        return GateCalibration(error=float(self.cx_error[index]),
+                               duration_ns=float(self.cx_duration_ns[index]))
 
     def has_gate(self, qubit_a: int, qubit_b: int) -> bool:
         key = (min(qubit_a, qubit_b), max(qubit_a, qubit_b))
-        return key in self.gates
+        return key in self.edge_index
+
+    @cached_property
+    def qubits(self) -> List[QubitCalibration]:
+        """Per-qubit view of the qubit columns."""
+        return [self.qubit(index) for index in range(self.num_qubits)]
+
+    @cached_property
+    def gates(self) -> Dict[Edge, GateCalibration]:
+        """Per-edge view of the edge columns, keyed by sorted edge."""
+        return {edge: GateCalibration(error=error, duration_ns=duration)
+                for edge, error, duration in zip(
+                    self.edge_index, self.cx_error.tolist(),
+                    self.cx_duration_ns.tolist())}
 
     # -- aggregate statistics ------------------------------------------------------
 
     @property
     def num_qubits(self) -> int:
-        return len(self.qubits)
+        return int(self.t1_us.shape[0])
 
     def average_cx_error(self) -> float:
-        if not self.gates:
+        if not self.edge_index:
             return 0.0
-        return sum(g.error for g in self.gates.values()) / len(self.gates)
+        return float(self.cx_error.mean())
+
+    def average_cx_duration_ns(self) -> float:
+        if not self.edge_index:
+            return 0.0
+        return float(self.cx_duration_ns.mean())
 
     def average_readout_error(self) -> float:
-        return sum(q.readout_error for q in self.qubits) / len(self.qubits)
+        return float(self.readout_error.mean())
 
     def average_t1_us(self) -> float:
-        return sum(q.t1_us for q in self.qubits) / len(self.qubits)
+        return float(self.t1_us.mean())
 
     def average_t2_us(self) -> float:
-        return sum(q.t2_us for q in self.qubits) / len(self.qubits)
+        return float(self.t2_us.mean())
 
     def cx_error_cov(self) -> float:
         """Coefficient of variation of two-qubit errors (spatial variation)."""
-        errors = [g.error for g in self.gates.values()]
-        if len(errors) < 2:
+        if len(self.edge_index) < 2:
             return 0.0
-        mean = sum(errors) / len(errors)
+        mean = float(self.cx_error.mean())
         if mean == 0:
             return 0.0
-        variance = sum((e - mean) ** 2 for e in errors) / len(errors)
-        return math.sqrt(variance) / mean
+        return float(self.cx_error.std()) / mean
 
     def best_qubits(self, count: int) -> List[int]:
         """Indices of the ``count`` qubits with the lowest combined error."""
-        scored = sorted(
-            range(self.num_qubits),
-            key=lambda q: (
-                self.qubits[q].single_qubit_error + self.qubits[q].readout_error
-            ),
-        )
-        return scored[:count]
+        scores = self.single_qubit_error + self.readout_error
+        return np.argsort(scores, kind="stable")[:count].tolist()
 
 
 class DriftModel:
@@ -148,35 +187,28 @@ class DriftModel:
 
     def apply(self, snapshot: CalibrationSnapshot,
               at_time: float) -> CalibrationSnapshot:
-        """Return a drifted copy of ``snapshot`` as of ``at_time``."""
+        """Return a drifted copy of ``snapshot`` as of ``at_time``.
+
+        CX errors are clipped at 0.75 and the other error rates at 0.5.
+        """
         elapsed_hours = max(0.0, (at_time - snapshot.timestamp) / HOUR_SECONDS)
         if elapsed_hours == 0:
             return snapshot
         error_factor = 1.0 + self.error_growth_per_hour * elapsed_hours
         coherence_factor = 1.0 / (1.0 + self.coherence_decay_per_hour * elapsed_hours)
-        qubits = [
-            QubitCalibration(
-                t1_us=q.t1_us * coherence_factor,
-                t2_us=q.t2_us * coherence_factor,
-                readout_error=min(0.5, q.readout_error * error_factor),
-                single_qubit_error=min(0.5, q.single_qubit_error * error_factor),
-                frequency_ghz=q.frequency_ghz,
-            )
-            for q in snapshot.qubits
-        ]
-        gates = {
-            edge: GateCalibration(
-                error=min(0.75, g.error * error_factor),
-                duration_ns=g.duration_ns,
-            )
-            for edge, g in snapshot.gates.items()
-        }
         return CalibrationSnapshot(
             machine=snapshot.machine,
             epoch=snapshot.epoch,
             timestamp=snapshot.timestamp,
-            qubits=qubits,
-            gates=gates,
+            t1_us=snapshot.t1_us * coherence_factor,
+            t2_us=snapshot.t2_us * coherence_factor,
+            readout_error=np.minimum(0.5, snapshot.readout_error * error_factor),
+            single_qubit_error=np.minimum(
+                0.5, snapshot.single_qubit_error * error_factor),
+            frequency_ghz=snapshot.frequency_ghz,
+            edge_index=snapshot.edge_index,
+            cx_error=np.minimum(0.75, snapshot.cx_error * error_factor),
+            cx_duration_ns=snapshot.cx_duration_ns,
         )
 
 
@@ -226,6 +258,8 @@ class CalibrationModel:
         self.calibration_offset = float(calibration_hour) * HOUR_SECONDS
         self.drift = drift or DriftModel()
         self._rng_root = RandomSource(seed, name=f"calibration/{machine}")
+        self._edge_index = {edge: i
+                            for i, edge in enumerate(coupling_map.edges)}
         self._snapshot_cache: Dict[int, CalibrationSnapshot] = {}
 
     # -- epoch arithmetic ----------------------------------------------------------
@@ -249,7 +283,28 @@ class CalibrationModel:
     # -- snapshot generation -------------------------------------------------------
 
     def snapshot_for_epoch(self, epoch: int) -> CalibrationSnapshot:
-        """The freshly calibrated snapshot at the start of ``epoch``."""
+        """The freshly calibrated snapshot at the start of ``epoch``.
+
+        All of an epoch's values come from its one keyed stream,
+        ``child("epoch", epoch)``, drawn in this fixed order:
+
+        1. three scalar lognormals: the daily CX/single-qubit error factor,
+           the daily readout factor and the daily coherence factor;
+        2. a ``(4, num_qubits)`` block of standard normals, whose rows are
+           T1, T2, readout error and single-qubit error;
+        3. a ``(num_qubits,)`` block of uniforms for the qubit frequencies;
+        4. a ``(2, num_edges)`` block of standard normals, whose rows are
+           CX error and CX duration, with edges in sorted order.
+
+        The block sizes depend only on the coupling map, never on profile
+        values (a zero CoV still consumes its normals), so the layout of
+        the stream is fixed per machine.  Each field is ``median *
+        exp(sigma * z)`` with ``sigma`` set by the field's CoV, computed by
+        the generator's lognormal (libm ``exp``, not numpy's SIMD ``exp``,
+        whose last bit varies with the CPU); T2 is capped at ``2 * T1``,
+        readout error at 0.4, single-qubit error at 0.1 and CX error at
+        0.6.
+        """
         cached = self._snapshot_cache.get(epoch)
         if cached is not None:
             return cached
@@ -258,55 +313,44 @@ class CalibrationModel:
         daily_factor = rng.lognormal(0.0, profile.daily_jitter_sigma)
         readout_factor = rng.lognormal(0.0, profile.daily_jitter_sigma * 0.6)
         coherence_factor = rng.lognormal(0.0, profile.daily_jitter_sigma * 0.4)
+        # Each lognormal block draws one standard normal z per element, in
+        # C order, and returns exp(sigma * z) with its row's sigma.
+        generator = rng.generator
+        coherence_sigma = _lognormal_sigma(profile.coherence_cov)
+        qubit_factors = generator.lognormal(0.0, [
+            [coherence_sigma], [coherence_sigma],
+            [_lognormal_sigma(profile.readout_cov)],
+            [_lognormal_sigma(profile.cx_error_cov * 0.6)],
+        ], size=(4, self.coupling_map.num_qubits))
+        qubit_uniforms = generator.random(self.coupling_map.num_qubits)
+        edge_factors = generator.lognormal(0.0, [
+            [_lognormal_sigma(profile.cx_error_cov)], [_lognormal_sigma(0.15)],
+        ], size=(2, len(self._edge_index)))
 
-        qubits: List[QubitCalibration] = []
-        for index in range(self.coupling_map.num_qubits):
-            qubit_rng = rng.child("qubit", index)
-            t1 = _positive_lognormal(
-                qubit_rng, profile.median_t1_us * coherence_factor,
-                profile.coherence_cov
-            )
-            t2 = min(
-                2.0 * t1,
-                _positive_lognormal(
-                    qubit_rng, profile.median_t2_us * coherence_factor,
-                    profile.coherence_cov
-                ),
-            )
-            readout = _bounded_lognormal(
-                qubit_rng, profile.median_readout_error * readout_factor,
-                profile.readout_cov, upper=0.4
-            )
-            sq_error = _bounded_lognormal(
-                qubit_rng, profile.median_sx_error * daily_factor,
-                profile.cx_error_cov * 0.6, upper=0.1
-            )
-            qubits.append(
-                QubitCalibration(
-                    t1_us=t1, t2_us=t2, readout_error=readout,
-                    single_qubit_error=sq_error,
-                    frequency_ghz=4.8 + 0.4 * qubit_rng.random(),
-                )
-            )
-
-        gates: Dict[Tuple[int, int], GateCalibration] = {}
-        for a, b in self.coupling_map.edges:
-            edge_rng = rng.child("edge", a, b)
-            error = _bounded_lognormal(
-                edge_rng, profile.median_cx_error * daily_factor,
-                profile.cx_error_cov, upper=0.6
-            )
-            duration = _positive_lognormal(
-                edge_rng, profile.cx_duration_ns, 0.15
-            )
-            gates[(a, b)] = GateCalibration(error=error, duration_ns=duration)
+        t1 = profile.median_t1_us * coherence_factor * qubit_factors[0]
+        t2 = np.minimum(
+            2.0 * t1,
+            profile.median_t2_us * coherence_factor * qubit_factors[1])
+        readout = np.minimum(
+            0.4, profile.median_readout_error * readout_factor * qubit_factors[2])
+        sq_error = np.minimum(
+            0.1, profile.median_sx_error * daily_factor * qubit_factors[3])
+        cx_error = np.minimum(
+            0.6, profile.median_cx_error * daily_factor * edge_factors[0])
+        cx_duration = profile.cx_duration_ns * edge_factors[1]
 
         snapshot = CalibrationSnapshot(
             machine=self.machine,
             epoch=epoch,
             timestamp=self.epoch_start(epoch),
-            qubits=qubits,
-            gates=gates,
+            t1_us=t1,
+            t2_us=t2,
+            readout_error=readout,
+            single_qubit_error=sq_error,
+            frequency_ghz=4.8 + 0.4 * qubit_uniforms,
+            edge_index=self._edge_index,
+            cx_error=cx_error,
+            cx_duration_ns=cx_duration,
         )
         self._snapshot_cache[epoch] = snapshot
         return snapshot
@@ -320,12 +364,6 @@ class CalibrationModel:
         return snapshot
 
 
-def _positive_lognormal(rng: RandomSource, median: float, cov: float) -> float:
-    """Sample a positive value with the given median and coefficient of variation."""
-    sigma = math.sqrt(math.log(1.0 + cov * cov)) if cov > 0 else 0.0
-    return median * math.exp(rng.normal(0.0, sigma)) if sigma > 0 else median
-
-
-def _bounded_lognormal(rng: RandomSource, median: float, cov: float,
-                       upper: float) -> float:
-    return min(upper, _positive_lognormal(rng, median, cov))
+def _lognormal_sigma(cov: float) -> float:
+    """The log-space sigma of a lognormal with coefficient of variation ``cov``."""
+    return math.sqrt(math.log(1.0 + cov * cov)) if cov > 0 else 0.0

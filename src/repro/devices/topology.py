@@ -41,6 +41,8 @@ class CouplingMap:
                 )
             self._graph.add_edge(int(a), int(b))
         self._distance_cache: Optional[Dict[int, Dict[int, int]]] = None
+        self._edges = tuple(sorted(tuple(sorted(edge))
+                                   for edge in self._graph.edges))
 
     # -- basic structure -----------------------------------------------------------
 
@@ -50,7 +52,7 @@ class CouplingMap:
 
     @property
     def edges(self) -> List[Edge]:
-        return sorted(tuple(sorted(edge)) for edge in self._graph.edges)
+        return list(self._edges)
 
     @property
     def num_edges(self) -> int:

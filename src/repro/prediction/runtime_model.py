@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from repro.analysis.stats import pearson_correlation
 from repro.core.exceptions import PredictionError
@@ -94,6 +93,10 @@ class ProductLinearModel:
         initial = []
         for _ in self.features:
             initial.extend([mean_y ** (1.0 / len(self.features)), 0.1])
+        # Imported here so that scipy stays off the import path of
+        # everything but the prediction fit.
+        from scipy.optimize import curve_fit
+
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             try:

@@ -69,14 +69,18 @@ def backend_fingerprint(backend: Backend) -> str:
     """Content hash of the transpile-relevant identity of a machine.
 
     Covers the coupling map, basis gates and the full calibration regime
-    (profile medians, seed, period, drift rates) — everything that can move
-    a layout/routing decision or an ESP estimate.  Queue state, batch
+    (profile medians, seed, period, drift rates, and the trace schema
+    version that fixes how values are drawn from them) — everything that
+    can move a layout/routing decision or an ESP estimate.  Queue state, batch
     limits and fleet-timeline fields are deliberately excluded: they change
     which machine a job *may* use, never what a transpile produces.
     """
+    from repro.workloads.trace import TRACE_SCHEMA_VERSION
+
     model = backend.calibration_model
     profile = model.profile
     payload = {
+        "trace_schema": TRACE_SCHEMA_VERSION,
         "name": backend.name,
         "qubits": backend.coupling_map.num_qubits,
         "edges": backend.coupling_map.edges,

@@ -17,8 +17,6 @@ Quantum cloud.  This package synthesises an equivalent dataset:
   npz/JSON/CSV round-trip.
 * :mod:`repro.workloads.generator` — drives the cloud simulator to produce
   the full study trace.
-* :mod:`repro.workloads.rowpath` — the row-at-a-time reference data plane
-  kept for the golden-equivalence test and the data-plane benchmark.
 """
 
 from repro.workloads.distributions import (

@@ -50,7 +50,10 @@ class CircuitMetrics:
 
     def jittered(self, rng: RandomSource, relative: float = 0.15) -> "CircuitMetrics":
         """Apply small multiplicative jitter (parameter-sweep variation)."""
-        factor = max(0.5, 1.0 + rng.normal(0.0, relative))
+        return self.jittered_by(max(0.5, 1.0 + rng.normal(0.0, relative)))
+
+    def jittered_by(self, factor: float) -> "CircuitMetrics":
+        """Scale every metric but the width by a jitter ``factor``."""
         return CircuitMetrics(
             width=self.width,
             depth=max(1, int(round(self.depth * factor))),

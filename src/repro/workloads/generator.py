@@ -26,6 +26,8 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.cloud.backlog import ExternalLoadModel
 from repro.cloud.job import CircuitBatch, Job
 from repro.cloud.service import FailureModel, QuantumCloudService
@@ -285,6 +287,25 @@ class PlannedSubmission:
     job_index: int
 
 
+#: Circuits at the head of a batch that carry jittered metrics, and the
+#: relative standard deviation of that jitter.
+JITTERED_CIRCUITS = 16
+CIRCUIT_JITTER = 0.08
+
+
+def circuit_jitter_factors(rng: RandomSource, batch_size: int) -> np.ndarray:
+    """One job's per-circuit jitter factors, drawn as one vector.
+
+    The ``min(batch_size, JITTERED_CIRCUITS)`` factors come from the job's
+    single ``child("circuits")`` stream: ``max(0.5, 1 + CIRCUIT_JITTER *
+    z)`` over its standard normals.  Deriving the child draws nothing from
+    ``rng``.
+    """
+    count = min(batch_size, JITTERED_CIRCUITS)
+    normals = rng.child("circuits").generator.standard_normal(count)
+    return np.maximum(0.5, 1.0 + CIRCUIT_JITTER * normals)
+
+
 def job_id_for_index(job_index: int) -> str:
     """The deterministic job id of the ``job_index``-th planned submission."""
     return f"job-{job_index + 1:06d}"
@@ -396,16 +417,12 @@ class JobSynthesizer:
         Only the first min(16, batch) circuits carry jittered metrics; the
         rest of the batch shares ``base_metrics`` exactly, so the batch
         stores just those variants columnar instead of one spec object per
-        circuit.  The jitter child streams are derived only for the jittered
-        variants (deriving is a pure hash and draws nothing from ``rng``, so
-        this changes no random stream).  The row-path reference synthesiser
+        circuit.  The variants scale ``base_metrics`` by the job's
+        :func:`circuit_jitter_factors`.  The row-path reference synthesiser
         overrides only this hook.
         """
-        variants = [
-            base_metrics.jittered(rng.child("circuit", circuit_index),
-                                  relative=0.08)
-            for circuit_index in range(min(batch_size, 16))
-        ]
+        variants = [base_metrics.jittered_by(factor) for factor
+                    in circuit_jitter_factors(rng, batch_size).tolist()]
         return CircuitBatch.from_metrics(
             name_prefix=f"{family}_{width}_",
             family=family,

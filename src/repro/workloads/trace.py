@@ -75,7 +75,11 @@ from repro.workloads.blocks import (
 #: 3: scenario engine — the simulator's backlog sampling draws from a
 #: dedicated block-buffered per-machine stream instead of the machine's
 #: general stream, which re-times every queue/backlog draw.
-TRACE_SCHEMA_VERSION = 3
+#: 4: one keyed stream per entity — a calibration epoch draws all of its
+#: qubit and edge values as vectors from its single epoch stream, and a job
+#: draws its circuit jitter factors as one vector from ``child("circuits")``,
+#: which changes every calibration value and every jittered circuit.
+TRACE_SCHEMA_VERSION = 4
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,11 @@ from repro.cloud.job import CircuitSpec, Job
 from repro.core.exceptions import AnalysisError
 from repro.devices.backend import Backend
 from repro.prediction.features import FEATURE_NAMES, feature_vector
-from repro.workloads.generator import JobSynthesizer
+from repro.workloads.generator import (
+    JITTERED_CIRCUITS,
+    JobSynthesizer,
+    circuit_jitter_factors,
+)
 from repro.workloads.trace import JobRecord
 
 # -- synthesis ------------------------------------------------------------------------
@@ -41,19 +45,18 @@ class RowPathSynthesizer(JobSynthesizer):
 
     Shares the whole synthesis flow (user pick, machine selection, batch
     sampling) with the vectorised synthesiser and overrides only the
-    circuit-materialisation hook: one spec object per circuit, including
-    the historical quirk of deriving an unused jitter child stream for
-    every circuit index >= 16 (derivation is a pure hash, so the random
-    streams — and therefore the synthesised values — are identical).
+    circuit-materialisation hook: one spec object per circuit, each of the
+    first ``JITTERED_CIRCUITS`` jittered one at a time by indexing the job's
+    factor vector.
     """
 
     def _build_circuits(self, rng, family: str, width: int, batch_size: int,
                         base_metrics) -> List[CircuitSpec]:
+        factors = circuit_jitter_factors(rng, batch_size)
         circuits: List[CircuitSpec] = []
         for circuit_index in range(batch_size):
-            jitter_rng = rng.child("circuit", circuit_index % 16)
-            metrics = base_metrics if circuit_index >= 16 else \
-                base_metrics.jittered(jitter_rng, relative=0.08)
+            metrics = base_metrics if circuit_index >= JITTERED_CIRCUITS else \
+                base_metrics.jittered_by(float(factors[circuit_index]))
             circuits.append(CircuitSpec(
                 name=f"{family}_{width}_{circuit_index}",
                 width=metrics.width,

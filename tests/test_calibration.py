@@ -6,6 +6,7 @@ from repro.core.exceptions import DeviceError
 from repro.core.units import DAY_SECONDS, HOUR_SECONDS
 from repro.devices.calibration import (
     CalibrationModel,
+    CalibrationProfile,
     DriftModel,
     GateCalibration,
     QubitCalibration,
@@ -129,3 +130,65 @@ class TestDriftModel:
         fresh = model.snapshot_at(epoch_start, apply_drift=True)
         stale = model.snapshot_at(epoch_start + 20 * HOUR_SECONDS, apply_drift=True)
         assert stale.average_cx_error() >= fresh.average_cx_error()
+
+
+class TestArrayBackedSnapshot:
+    """The columns against per-qubit / per-edge loops over the views."""
+
+    def test_aggregates_match_view_loops(self, model):
+        snapshot = model.snapshot_for_epoch(2)
+        errors = [g.error for g in snapshot.gates.values()]
+        mean = sum(errors) / len(errors)
+        cov = (sum((e - mean) ** 2 for e in errors) / len(errors)) ** 0.5 / mean
+        assert snapshot.average_cx_error() == pytest.approx(mean, rel=1e-12)
+        assert snapshot.cx_error_cov() == pytest.approx(cov, rel=1e-12)
+        assert snapshot.average_cx_duration_ns() == pytest.approx(
+            sum(g.duration_ns for g in snapshot.gates.values()) / len(errors),
+            rel=1e-12)
+        qubits = snapshot.qubits
+        assert snapshot.average_readout_error() == pytest.approx(
+            sum(q.readout_error for q in qubits) / len(qubits), rel=1e-12)
+        assert snapshot.average_t1_us() == pytest.approx(
+            sum(q.t1_us for q in qubits) / len(qubits), rel=1e-12)
+        assert snapshot.best_qubits(len(qubits)) == sorted(
+            range(len(qubits)),
+            key=lambda q: qubits[q].single_qubit_error + qubits[q].readout_error)
+
+    def test_views_match_lookups(self, model):
+        snapshot = model.snapshot_for_epoch(1)
+        assert list(snapshot.gates) == model.coupling_map.edges
+        for (a, b), gate in snapshot.gates.items():
+            assert snapshot.gate(b, a) == gate
+        for index, qubit in enumerate(snapshot.qubits):
+            assert snapshot.qubit(index) == qubit
+        with pytest.raises(DeviceError):
+            snapshot.qubit(snapshot.num_qubits)
+
+    def test_drift_matches_scalar_formula(self, model):
+        fresh = model.snapshot_for_epoch(0)
+        drift = DriftModel(error_growth_per_hour=0.3)
+        hours = 7.5
+        later = drift.apply(fresh, fresh.timestamp + hours * HOUR_SECONDS)
+        error_factor = 1.0 + 0.3 * hours
+        coherence_factor = 1.0 / (1.0 + drift.coherence_decay_per_hour * hours)
+        for old, new in zip(fresh.qubits, later.qubits):
+            assert new.t1_us == old.t1_us * coherence_factor
+            assert new.readout_error == min(0.5, old.readout_error * error_factor)
+            assert new.single_qubit_error == min(
+                0.5, old.single_qubit_error * error_factor)
+        for edge, gate in fresh.gates.items():
+            assert later.gates[edge].error == min(0.75, gate.error * error_factor)
+            assert later.gates[edge].duration_ns == gate.duration_ns
+
+    def test_stream_layout_independent_of_profile_values(self):
+        """A zero CoV still consumes its block of normals, so the other
+        fields of the epoch draw the same values."""
+        default = CalibrationModel("m", falcon_topology(7), seed=4)
+        flat = CalibrationModel("m", falcon_topology(7), seed=4,
+                                profile=CalibrationProfile(readout_cov=0.0))
+        a = default.snapshot_for_epoch(6)
+        b = flat.snapshot_for_epoch(6)
+        assert len(set(b.readout_error.tolist())) == 1
+        for column in ("t1_us", "t2_us", "single_qubit_error",
+                       "frequency_ghz", "cx_error", "cx_duration_ns"):
+            assert getattr(a, column).tolist() == getattr(b, column).tolist()

@@ -1,5 +1,9 @@
 """Tests for repro.prediction (features, runtime model, queue model)."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,6 +22,17 @@ from repro.prediction.runtime_model import (
     train_test_split,
 )
 from repro.workloads.trace import TraceDataset
+
+
+def test_import_repro_leaves_scipy_unloaded():
+    """scipy is imported by the runtime-model fit only, not by ``import
+    repro``, so a study never pays for it."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = ("import sys; sys.path.insert(0, %r); import repro; "
+            "print('scipy' in sys.modules)" % src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestFeatures:

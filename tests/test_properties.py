@@ -12,8 +12,11 @@ from repro.circuits.qasm import from_qasm, to_qasm
 from repro.cloud.queues import FairShareQueue
 from repro.cloud.job import CircuitSpec, Job
 from repro.core.rng import RandomSource, derive_seed
-from repro.core.units import format_duration
+from repro.core.units import DAY_SECONDS, HOUR_SECONDS, format_duration
+from repro.devices import build_backend
+from repro.devices.catalog import MACHINE_NAMES
 from repro.devices.topology import CouplingMap, line_topology, ring_topology
+from repro.runner import run_study
 from repro.fidelity.statevector import StatevectorSimulator
 from repro.transpiler.layout import Layout
 from repro.transpiler.passes import (
@@ -24,6 +27,7 @@ from repro.transpiler.passes import (
     StochasticSwap,
     Unroll3qOrMore,
 )
+from repro.workloads import TraceGeneratorConfig
 
 # Strategy: small random circuits described by a seed and size bounds.
 circuit_strategy = st.builds(
@@ -218,3 +222,61 @@ class TestFairShareProperties:
             queue.record_usage(job.provider, 10.0)
             popped.append(job)
         assert {j.job_id for j in popped} == {j.job_id for j in pushed}
+
+
+class TestTraceInvariants:
+    """What the simulator guarantees of any generated trace.
+
+    Byte pins flag a change to the trace; these say which semantic rule a
+    change broke.
+    """
+
+    @given(jobs=st.integers(min_value=10, max_value=60),
+           months=st.integers(min_value=1, max_value=3),
+           seed=st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=8, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_times_ordered_and_statuses_cover_every_job(self, jobs, months,
+                                                        seed):
+        config = TraceGeneratorConfig(total_jobs=jobs, months=months,
+                                      seed=seed)
+        trace = run_study(config=config, workers=1, use_cache=False).trace
+        submit = trace.values("submit_time")
+        start = trace.values("start_time")
+        end = trace.values("end_time")
+        queue = trace.values("queue_seconds")
+        started = ~np.isnan(start)
+        assert np.all(start[started] >= submit[started])
+        ended = started & ~np.isnan(end)
+        assert np.all(end[ended] >= start[ended])
+        assert np.all(queue[~np.isnan(queue)] >= 0)
+        assert sum(trace.status_counts().values()) == len(trace) == jobs
+
+
+class TestCalibrationInvariants:
+    """Every snapshot column stays inside its documented bound."""
+
+    @given(machine=st.sampled_from(MACHINE_NAMES),
+           seed=st.integers(min_value=0, max_value=10_000),
+           day=st.integers(min_value=0, max_value=900),
+           hours=st.floats(min_value=0.0, max_value=500.0))
+    @settings(max_examples=40, deadline=None)
+    def test_snapshot_columns_bounded(self, machine, seed, day, hours):
+        model = build_backend(machine, seed=seed).calibration_model
+        fresh = model.snapshot_at(day * DAY_SECONDS, apply_drift=False)
+        assert np.all(fresh.cx_error <= 0.6)
+        assert np.all(fresh.readout_error <= 0.4)
+        assert np.all(fresh.single_qubit_error <= 0.1)
+        drifted = model.drift.apply(
+            fresh, fresh.timestamp + hours * HOUR_SECONDS)
+        for snapshot in (fresh, drifted):
+            assert np.all(snapshot.cx_error <= 0.75)
+            assert np.all(snapshot.readout_error <= 0.5)
+            assert np.all(snapshot.single_qubit_error <= 0.5)
+            assert np.all(snapshot.t2_us <= 2.0 * snapshot.t1_us)
+            for column in (snapshot.t1_us, snapshot.t2_us,
+                           snapshot.cx_duration_ns):
+                assert np.all(column > 0)
+            for column in (snapshot.cx_error, snapshot.readout_error,
+                           snapshot.single_qubit_error):
+                assert np.all(column >= 0)

@@ -35,6 +35,7 @@ from repro.scheduling.policies import (
 from repro.transpiler.cache import (
     DEFAULT_RANK_SEED,
     TranspileCache,
+    backend_fingerprint,
     summarise_transpile,
     transpile_cache_key,
 )
@@ -150,6 +151,18 @@ class TestTranspileCache:
     def test_cache_key_separates_levels(self):
         assert transpile_cache_key("a" * 24, "b" * 24, 2) \
             != transpile_cache_key("a" * 24, "b" * 24, 3)
+
+    def test_cache_key_follows_trace_schema(self, monkeypatch):
+        """The schema version fixes how calibration values are drawn, so
+        summaries cached under another version are never served."""
+        import repro.workloads.trace as trace_module
+
+        backend = build_backend("ibmq_athens", seed=3)
+        before = transpile_cache_key("a" * 24, backend_fingerprint(backend), 3)
+        monkeypatch.setattr(trace_module, "TRACE_SCHEMA_VERSION",
+                            trace_module.TRACE_SCHEMA_VERSION + 1)
+        after = transpile_cache_key("a" * 24, backend_fingerprint(backend), 3)
+        assert after != before
 
 
 class TestRanking:
