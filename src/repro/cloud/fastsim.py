@@ -56,7 +56,7 @@ from repro.cloud.backlog import ExternalLoadModel
 from repro.cloud.execution_model import ExecutionTimeModel
 from repro.cloud.job import CircuitBatch, Job
 from repro.cloud.provider import DEFAULT_PROVIDERS, Provider
-from repro.cloud.service import FailureModel
+from repro.cloud.service import FailureModel, demand_overflow
 from repro.core.exceptions import CloudError, DeviceError
 from repro.telemetry import get_registry, get_tracer
 from repro.core.rng import RandomSource
@@ -369,166 +369,173 @@ def simulate_machine(
     total_jobs = len(jobs)
     next_submit = jobs[0].submit_time if jobs else 0.0
 
-    while submit_index < total_jobs or heap:
-        if heap and (submit_index >= total_jobs or heap[0][0] <= next_submit):
-            # ``run_until(t)`` executes events with time <= t before the
-            # submission at t, ties included — mirrored by the <= above.
-            now, _, kind, job = heappop(heap)
-            if kind != _DISPATCH:  # _FINISH_DONE / _FINISH_ERROR
-                job.status = done if kind == _FINISH_DONE else error
-                job.end_time = now
-                run_seconds = now - job.start_time
-                if run_seconds:
-                    row_of[job.provider][3] += run_seconds
-                # The chained dispatch at ``now`` would be the very next
-                # pop (heap entries are >= now) unless another event
-                # shares its timestamp with a smaller sequence number, so
-                # the common case falls through to the dispatch code
-                # below and only the tie goes through the heap.
-                if heap and heap[0][0] <= now:
-                    heappush(heap, (now, seq, _DISPATCH, None))
-                    seq += 1
-                    continue
-        else:
-            job = jobs[submit_index]
-            submit_index += 1
-            if submit_index < total_jobs:
-                next_submit = jobs[submit_index].submit_time
-            now = job.submit_time
-            job.status = queued
-            job.queue_enter_time = now
-            # sample_pending_jobs(now, rng=backlog_draws):
-            day_phase = two_pi * ((now % DAY_SECONDS) / DAY_SECONDS)
-            week_phase = two_pi * ((now % week_seconds) / week_seconds)
-            daily = 1.0 + 0.35 * sin(day_phase - 0.8)
-            weekly = 1.0 + 0.15 * sin(week_phase)
-            diurnal = daily * weekly
-            if diurnal < 0.25:
-                diurnal = 0.25
-            growth = 2.0 ** ((now if now > 0.0 else 0.0) / doubling)
-            mean_jobs = base_pending * diurnal * growth
-            if mean_jobs < 0.2:
-                mean_jobs = 0.2
-            mean_jobs_at = now
+    # The replay runs per machine, so an overflow is caught here, once,
+    # rather than checked on every event.
+    now = start_time
+    try:
+        while submit_index < total_jobs or heap:
+            if heap and (submit_index >= total_jobs
+                         or heap[0][0] <= next_submit):
+                # ``run_until(t)`` executes events with time <= t before the
+                # submission at t, ties included — mirrored by the <= above.
+                now, _, kind, job = heappop(heap)
+                if kind != _DISPATCH:  # _FINISH_DONE / _FINISH_ERROR
+                    job.status = done if kind == _FINISH_DONE else error
+                    job.end_time = now
+                    run_seconds = now - job.start_time
+                    if run_seconds:
+                        row_of[job.provider][3] += run_seconds
+                    # The chained dispatch at ``now`` would be the very next
+                    # pop (heap entries are >= now) unless another event
+                    # shares its timestamp with a smaller sequence number, so
+                    # the common case falls through to the dispatch code
+                    # below and only the tie goes through the heap.
+                    if heap and heap[0][0] <= now:
+                        heappush(heap, (now, seq, _DISPATCH, None))
+                        seq += 1
+                        continue
+            else:
+                job = jobs[submit_index]
+                submit_index += 1
+                if submit_index < total_jobs:
+                    next_submit = jobs[submit_index].submit_time
+                now = job.submit_time
+                job.status = queued
+                job.queue_enter_time = now
+                # sample_pending_jobs(now, rng=backlog_draws):
+                day_phase = two_pi * ((now % DAY_SECONDS) / DAY_SECONDS)
+                week_phase = two_pi * ((now % week_seconds) / week_seconds)
+                daily = 1.0 + 0.35 * sin(day_phase - 0.8)
+                weekly = 1.0 + 0.15 * sin(week_phase)
+                diurnal = daily * weekly
+                if diurnal < 0.25:
+                    diurnal = 0.25
+                growth = 2.0 ** ((now if now > 0.0 else 0.0) / doubling)
+                mean_jobs = base_pending * diurnal * growth
+                if mean_jobs < 0.2:
+                    mean_jobs = 0.2
+                mean_jobs_at = now
+                if bn_i == len(bn):
+                    bn = bn_gen.standard_normal(block_size).tolist()
+                    bn_i = 0
+                sampled = mean_jobs * exp(0.0 + pending_sigma * bn[bn_i]) \
+                    * pending_comp
+                bn_i += 1
+                job.pending_ahead = max(0, int(round(sampled))) + queue_size
+                row_of[job.provider][1].append(job)
+                queue_size += 1
+                # The dispatch scheduled at the submission time would be the
+                # heap minimum (the submit branch only runs when every heap
+                # entry is strictly later), so it is the next pop and runs
+                # inline by falling through.
+            # ---- dispatch at ``now`` (popped, post-finish or post-submit)
+            if queue_size == 0:
+                continue
+            if busy_until > now + 1e-9:
+                # Machine still busy; a dispatch is already scheduled
+                # at its completion.
+                continue
+            best_row = None
+            best_priority = 0.0
+            for row in provider_rows:
+                if row[1]:
+                    priority = row[3] / row[2]
+                    if best_row is None or priority < best_priority:
+                        best_row = row
+                        best_priority = priority
+            job = best_row[1].popleft()
+            queue_size -= 1
+            # sample_backlog_seconds(now, access, rng=backlog_draws).
+            # Conditionals replace the reference's max() calls: the
+            # quantities are positive and finite, so the clamped
+            # values are identical.  ``mean_jobs`` is a pure function of
+            # ``now``, so the value the submit branch just computed is reused
+            # when the inline dispatch runs at the same timestamp.
+            if mean_jobs_at != now:
+                day_phase = two_pi * ((now % DAY_SECONDS) / DAY_SECONDS)
+                week_phase = two_pi * ((now % week_seconds) / week_seconds)
+                daily = 1.0 + 0.35 * sin(day_phase - 0.8)
+                weekly = 1.0 + 0.15 * sin(week_phase)
+                diurnal = daily * weekly
+                if diurnal < 0.25:
+                    diurnal = 0.25
+                growth = 2.0 ** ((now if now > 0.0 else 0.0) / doubling)
+                mean_jobs = base_pending * diurnal * growth
+                if mean_jobs < 0.2:
+                    mean_jobs = 0.2
+                mean_jobs_at = now
             if bn_i == len(bn):
                 bn = bn_gen.standard_normal(block_size).tolist()
                 bn_i = 0
-            sampled = mean_jobs * exp(0.0 + pending_sigma * bn[bn_i]) \
-                * pending_comp
+            backlog = (mean_jobs * mean_job_seconds) \
+                * exp(0.0 + backlog_sigma * bn[bn_i]) * backlog_comp
             bn_i += 1
-            job.pending_ahead = max(0, int(round(sampled))) + queue_size
-            row_of[job.provider][1].append(job)
-            queue_size += 1
-            # The dispatch scheduled at the submission time would be the
-            # heap minimum (the submit branch only runs when every heap
-            # entry is strictly later), so it is the next pop and runs
-            # inline by falling through.
-        # ---- dispatch at time ``now`` (popped, post-finish or post-submit)
-        if queue_size == 0:
-            continue
-        if busy_until > now + 1e-9:
-            # Machine still busy; a dispatch is already scheduled
-            # at its completion.
-            continue
-        best_row = None
-        best_priority = 0.0
-        for row in provider_rows:
-            if row[1]:
-                priority = row[3] / row[2]
-                if best_row is None or priority < best_priority:
-                    best_row = row
-                    best_priority = priority
-        job = best_row[1].popleft()
-        queue_size -= 1
-        # sample_backlog_seconds(now, access, rng=backlog_draws).
-        # Conditionals replace the reference's max() calls: the
-        # quantities are positive and finite, so the clamped
-        # values are identical.  ``mean_jobs`` is a pure function of
-        # ``now``, so the value the submit branch just computed is reused
-        # when the inline dispatch runs at the same timestamp.
-        if mean_jobs_at != now:
-            day_phase = two_pi * ((now % DAY_SECONDS) / DAY_SECONDS)
-            week_phase = two_pi * ((now % week_seconds) / week_seconds)
-            daily = 1.0 + 0.35 * sin(day_phase - 0.8)
-            weekly = 1.0 + 0.15 * sin(week_phase)
-            diurnal = daily * weekly
-            if diurnal < 0.25:
-                diurnal = 0.25
-            growth = 2.0 ** ((now if now > 0.0 else 0.0) / doubling)
-            mean_jobs = base_pending * diurnal * growth
-            if mean_jobs < 0.2:
-                mean_jobs = 0.2
-            mean_jobs_at = now
-        if bn_i == len(bn):
-            bn = bn_gen.standard_normal(block_size).tolist()
-            bn_i = 0
-        backlog = (mean_jobs * mean_job_seconds) \
-            * exp(0.0 + backlog_sigma * bn[bn_i]) * backlog_comp
-        bn_i += 1
-        if best_row[4]:
-            backlog *= discount
-        if bu_i == len(bu):
-            bu = bu_gen.random(block_size).tolist()
-            bu_i = 0
-        idle_draw = bu[bu_i]
-        bu_i += 1
-        if idle_draw < idle_p:
+            if best_row[4]:
+                backlog *= discount
             if bu_i == len(bu):
                 bu = bu_gen.random(block_size).tolist()
                 bu_i = 0
-            backlog = 0.0 + idle_span * bu[bu_i]
+            idle_draw = bu[bu_i]
             bu_i += 1
-        if backlog < 0.0:
-            backlog = 0.0
-        run_start = (now if now >= busy_until else busy_until) \
-            + backlog
-        # The terminal-status coin of the dispatch stream:
-        if du_i == len(du):
-            du = du_gen.random(block_size).tolist()
-            du_i = 0
-        draw = du[du_i]
-        du_i += 1
-        if draw < cancel_p:
+            if idle_draw < idle_p:
+                if bu_i == len(bu):
+                    bu = bu_gen.random(block_size).tolist()
+                    bu_i = 0
+                backlog = 0.0 + idle_span * bu[bu_i]
+                bu_i += 1
+            if backlog < 0.0:
+                backlog = 0.0
+            run_start = (now if now >= busy_until else busy_until) \
+                + backlog
+            # The terminal-status coin of the dispatch stream:
             if du_i == len(du):
                 du = du_gen.random(block_size).tolist()
                 du_i = 0
-            delay = 30.0 + cancel_span * du[du_i]
+            draw = du[du_i]
             du_i += 1
-            cancel_at = now + min(backlog, delay)
-            # The terminal state is fully determined here and no
-            # event between now and cancel_at can observe the job
-            # (it left the queue), so the cancel event is elided
-            # and only the chained dispatch is scheduled.
-            job.status = cancelled
-            job.end_time = cancel_at
-            heappush(heap, (cancel_at, seq, _DISPATCH, None))
+            if draw < cancel_p:
+                if du_i == len(du):
+                    du = du_gen.random(block_size).tolist()
+                    du_i = 0
+                delay = 30.0 + cancel_span * du[du_i]
+                du_i += 1
+                cancel_at = now + min(backlog, delay)
+                # The terminal state is fully determined here and no
+                # event between now and cancel_at can observe the job
+                # (it left the queue), so the cancel event is elided
+                # and only the chained dispatch is scheduled.
+                job.status = cancelled
+                job.end_time = cancel_at
+                heappush(heap, (cancel_at, seq, _DISPATCH, None))
+                seq += 1
+                continue
+            run_seconds = total_of[id(job)]
+            if jitter_sigma:
+                if dn_i == len(dn):
+                    dn = dn_gen.standard_normal(block_size).tolist()
+                    dn_i = 0
+                run_seconds *= exp(0.0 + jitter_sigma * dn[dn_i])
+                dn_i += 1
+            is_error = draw < failure_p
+            if is_error:
+                if du_i == len(du):
+                    du = du_gen.random(block_size).tolist()
+                    du_i = 0
+                run_seconds *= 0.1 + error_span * du[du_i]
+                du_i += 1
+            run_end = run_start + run_seconds
+            busy_until = run_end
+            # The start event only records fields nothing reads until
+            # the finish handler, so it is applied here instead of
+            # through the heap (the finish overwrites the status).
+            job.status = running
+            job.start_time = run_start
+            heappush(heap, (run_end, seq,
+                            _FINISH_ERROR if is_error else _FINISH_DONE,
+                            job))
             seq += 1
-            continue
-        run_seconds = total_of[id(job)]
-        if jitter_sigma:
-            if dn_i == len(dn):
-                dn = dn_gen.standard_normal(block_size).tolist()
-                dn_i = 0
-            run_seconds *= exp(0.0 + jitter_sigma * dn[dn_i])
-            dn_i += 1
-        is_error = draw < failure_p
-        if is_error:
-            if du_i == len(du):
-                du = du_gen.random(block_size).tolist()
-                du_i = 0
-            run_seconds *= 0.1 + error_span * du[du_i]
-            du_i += 1
-        run_end = run_start + run_seconds
-        busy_until = run_end
-        # The start event only records fields nothing reads until
-        # the finish handler, so it is applied here instead of
-        # through the heap (the finish overwrites the status).
-        job.status = running
-        job.start_time = run_start
-        heappush(heap, (run_end, seq,
-                        _FINISH_ERROR if is_error else _FINISH_DONE,
-                        job))
-        seq += 1
+    except OverflowError as exc:
+        raise demand_overflow(backend.name, now) from exc
 
 
 def simulate_fleet(

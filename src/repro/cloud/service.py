@@ -51,11 +51,17 @@ class _MachineState:
     busy_seconds: float = 0.0
 
 
-#: Calendar-queue bucket width of the service's event store: pending events
-#: land within a horizon of minutes (chained dispatches) to a few days
-#: (heavy public-machine backlogs), so quarter-day buckets keep them spread
-#: across the calendar without long empty-bucket scans.
-EVENT_BUCKET_SECONDS = 6 * 3600.0
+def demand_overflow(machine: str, clock: float) -> CloudError:
+    """The error both simulators raise when a machine's external demand
+    leaves float range.
+
+    The backlog model's demand doubles every 420 simulated days without
+    bound, so ``2.0 ** (t / doubling)`` overflows once the clock nears
+    3.7e10 s (a runaway backlog chain can get there).
+    """
+    return CloudError(
+        f"external demand on machine {machine!r} overflowed at simulated "
+        f"clock {clock!r} s")
 
 
 @dataclass(frozen=True)
@@ -90,10 +96,7 @@ class QuantumCloudService:
         self.execution_model = execution_model or ExecutionTimeModel()
         self.failure_model = failure_model or FailureModel()
         self._rng = RandomSource(seed, name="cloud_service")
-        # Pending events cluster within a backlog-plus-run-time horizon of
-        # minutes to a few days, the homogeneous-horizon case the calendar
-        # store is built for; pop order is identical to the heap's.
-        self.events = EventQueue(start_time, bucket_seconds=EVENT_BUCKET_SECONDS)
+        self.events = EventQueue(start_time)
         self._machines: Dict[str, _MachineState] = {}
         for name, backend in self.fleet.items():
             shares = {p.name: p.fair_share for p in self.providers.values()}
@@ -159,11 +162,12 @@ class QuantumCloudService:
             )
         self.events.run_until(job.submit_time)
         job.mark_queued(job.submit_time)
-        job.pending_ahead = (
-            state.load_model.sample_pending_jobs(job.submit_time,
-                                                 state.backlog_draws)
-            + len(state.queue)
-        )
+        try:
+            sampled = state.load_model.sample_pending_jobs(
+                job.submit_time, state.backlog_draws)
+        except OverflowError as exc:
+            raise demand_overflow(job.backend_name, job.submit_time) from exc
+        job.pending_ahead = sampled + len(state.queue)
         state.queue.push(job, job.submit_time)
         self.events.schedule(
             job.submit_time,
@@ -227,9 +231,12 @@ class QuantumCloudService:
             return
         job = state.queue.pop(now)
         provider = self.provider_for(job.provider)
-        backlog = state.load_model.sample_backlog_seconds(
-            now, access=provider.access, rng=state.backlog_draws
-        )
+        try:
+            backlog = state.load_model.sample_backlog_seconds(
+                now, access=provider.access, rng=state.backlog_draws
+            )
+        except OverflowError as exc:
+            raise demand_overflow(backend_name, now) from exc
         start_time = max(now, state.busy_until) + backlog
 
         # Decide the terminal status up front.

@@ -340,10 +340,7 @@ def plan_submissions(config: TraceGeneratorConfig) -> List[PlannedSubmission]:
 PENDING_BUCKET_SECONDS = 3600.0
 
 
-def expected_pending_estimator(
-    fleet: Dict[str, Backend],
-    bucket_seconds: float = PENDING_BUCKET_SECONDS,
-) -> PendingEstimator:
+def expected_pending_estimator(fleet: Dict[str, Backend]) -> PendingEstimator:
     """A service-free pending-jobs estimator (the external-load expectation).
 
     Queue-sensitive users see the *expected* backlog of each machine, a pure
@@ -367,12 +364,12 @@ def expected_pending_estimator(
     cache: Dict[Tuple[str, int], float] = {}
 
     def estimate(backend: Backend, timestamp: float) -> float:
-        bucket = int(timestamp // bucket_seconds)
+        bucket = int(timestamp // PENDING_BUCKET_SECONDS)
         key = (backend.name, bucket)
         value = cache.get(key)
         if value is None:
             value = models[backend.name].mean_pending_jobs(
-                bucket * bucket_seconds)
+                bucket * PENDING_BUCKET_SECONDS)
             cache[key] = value
         return value
 
@@ -663,12 +660,12 @@ class TraceGenerator:
     interleaved against one live :class:`QuantumCloudService`, so
     queue-sensitive users see the live studied queue on top of the external
     load.  The parallel runner in :mod:`repro.runner` shards the same
-    synthesis and simulation stages across processes instead.
+    synthesis and simulation stages across processes instead, and
+    simulates with :func:`repro.cloud.fastsim.simulate_fleet`.
 
     Because this path probes the service's pending-jobs estimate
-    *mid-stream*, it always drives the scalar event loop — the batched
-    engine (:mod:`repro.cloud.fastsim`) needs the full submission list up
-    front and is only reachable through the runner's ``engine`` switch.
+    *mid-stream*, it drives the event loop: ``simulate_fleet`` needs the
+    full submission list up front.
     """
 
     def __init__(self, config: Optional[TraceGeneratorConfig] = None,

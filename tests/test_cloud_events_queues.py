@@ -103,53 +103,25 @@ class TestEventQueue:
         assert queue.run_all() == 1
         assert queue.pending == 0
 
-    @pytest.mark.parametrize("bucket_seconds", [None, 10.0])
-    def test_compaction_keeps_cancel_heavy_store_bounded(self,
-                                                         bucket_seconds):
+    @pytest.mark.parametrize("start_time", [None, 10.0])
+    def test_compaction_keeps_cancel_heavy_store_bounded(self, start_time):
         """Cancelled entries are compacted away once they outnumber live
-        ones, for both the heap and the calendar store."""
-        queue = EventQueue(bucket_seconds=bucket_seconds)
+        ones, whether the clock starts at the default origin or later."""
+        queue = (EventQueue() if start_time is None
+                 else EventQueue(start_time=start_time))
         survivors = []
         for i in range(1000):
-            event = queue.schedule(float(i + 1), lambda i=i: survivors
-                                   .append(i))
+            event = queue.schedule_after(float(i + 1),
+                                         lambda i=i: survivors.append(i))
             if i % 10 != 0:
                 event.cancel()
         # 900 of 1000 were cancelled; compaction must have dropped (most
-        # of) them from the store rather than leaving them as tombstones.
+        # of) them from the heap rather than leaving them as tombstones.
         assert queue.pending == 100
-        assert len(queue._store) < 250
+        assert len(queue._heap) < 250
         queue.run_all()
         assert survivors == [i for i in range(1000) if i % 10 == 0]
-
-    def test_calendar_and_heap_stores_pop_identically(self):
-        """The calendar store replays the exact (time, sequence) total
-        order of the heap store, including ties, cancellations and events
-        scheduled mid-run far outside the initial horizon."""
-        import random
-
-        rng = random.Random(42)
-        times = [round(rng.uniform(0.0, 500.0), 3) for _ in range(300)]
-        times += [times[7], times[91], times[200]]  # exact ties
-
-        def drive(bucket_seconds):
-            queue = EventQueue(bucket_seconds=bucket_seconds)
-            order = []
-            scheduled = []
-            for index, time in enumerate(times):
-                def callback(index=index, queue=queue):
-                    order.append(index)
-                    if index % 50 == 0:
-                        # Chain an event well past the initial horizon.
-                        queue.schedule_after(750.0 + index,
-                                             lambda: order.append(-index))
-                scheduled.append(queue.schedule(time, callback))
-            for index in range(0, len(scheduled), 9):
-                scheduled[index].cancel()
-            queue.run_all()
-            return order
-
-        assert drive(None) == drive(25.0)
+        assert queue.now == (start_time or 0.0) + 991.0
 
 
 class TestFifoQueue:

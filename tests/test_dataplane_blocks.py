@@ -261,11 +261,13 @@ class TestCacheManifests:
 
 
 class TestConstructionSurface:
-    def test_positional_constructor_is_deprecated(self, plain_trace):
+    def test_positional_records_are_rejected(self, plain_trace):
         records = list(plain_trace.records)
-        with pytest.warns(DeprecationWarning):
-            shimmed = TraceDataset(records)
-        assert _records(shimmed) == _records(plain_trace)
+        with pytest.raises(TypeError):
+            TraceDataset(records)
+        with pytest.raises(TypeError):
+            TraceDataset(records=records)
+        assert len(TraceDataset()) == 0
 
     def test_from_records_does_not_warn(self, plain_trace):
         records = list(plain_trace.records)

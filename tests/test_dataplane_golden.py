@@ -130,14 +130,16 @@ class TestSimulationEquivalence:
 class TestDatasetAndCacheEquivalence:
     def test_columnar_dataset_round_trips_records(self, golden_records):
         columnar, _ = golden_records
-        trace = TraceDataset(columnar, metadata={"seed": CONFIG["seed"]})
+        trace = TraceDataset.from_records(columnar,
+                                          metadata={"seed": CONFIG["seed"]})
         assert trace.records == columnar
         assert [trace[i] for i in range(len(trace))] == columnar
 
     def test_npz_round_trip_identical_to_json_path(self, golden_records,
                                                    tmp_path):
         columnar, _ = golden_records
-        trace = TraceDataset(columnar, metadata={"seed": CONFIG["seed"]})
+        trace = TraceDataset.from_records(columnar,
+                                          metadata={"seed": CONFIG["seed"]})
         json_path = tmp_path / "trace.json"
         npz_path = tmp_path / "trace.npz"
         trace.to_json(json_path)
@@ -150,28 +152,43 @@ class TestDatasetAndCacheEquivalence:
 
     def test_npz_bytes_deterministic(self, golden_records, tmp_path):
         columnar, _ = golden_records
-        trace = TraceDataset(columnar, metadata={"seed": CONFIG["seed"]})
+        trace = TraceDataset.from_records(columnar,
+                                          metadata={"seed": CONFIG["seed"]})
         first = tmp_path / "a.npz"
         second = tmp_path / "b.npz"
         trace.to_npz(first)
         trace.to_npz(second)
         assert first.read_bytes() == second.read_bytes()
 
-    def test_trace_cache_serves_npz_and_legacy_json(self, golden_records,
-                                                    config, tmp_path):
+    def test_trace_cache_serves_npz(self, golden_records, config, tmp_path):
         columnar, _ = golden_records
-        trace = TraceDataset(columnar, metadata={"seed": CONFIG["seed"]})
+        trace = TraceDataset.from_records(columnar,
+                                          metadata={"seed": CONFIG["seed"]})
         cache = TraceCache(tmp_path / "cache")
         key = config_fingerprint(config)
         path = cache.put(key, trace)
         assert path.suffix == ".npz"
         assert cache.get(key).records == columnar
 
-        legacy = TraceCache(tmp_path / "legacy")
-        legacy.root.mkdir(parents=True)
-        trace.to_json(legacy.legacy_path_for(key))
-        assert legacy.get(key).records == columnar
-        assert legacy.get_bytes(key) is not None
+    def test_stray_json_entry_is_a_miss(self, golden_records, config,
+                                        tmp_path):
+        """A ``trace-<key>.json`` beside the cache entries is not one: the
+        cache reads only npz and block-manifest entries."""
+        columnar, _ = golden_records
+        trace = TraceDataset.from_records(columnar,
+                                          metadata={"seed": CONFIG["seed"]})
+        cache = TraceCache(tmp_path / "cache")
+        key = config_fingerprint(config)
+        cache.root.mkdir(parents=True)
+        stray = cache.root / f"trace-{key}.json"
+        trace.to_json(stray)
+        assert cache.existing_path_for(key) is None
+        assert cache.get(key) is None
+        assert cache.get_bytes(key) is None
+        assert cache.stats()["misses"] == 2
+        assert cache.entries() == []
+        # The file itself is still a readable trace, explicitly.
+        assert TraceDataset.from_json(stray).records == columnar
 
     def test_trace_cache_treats_corrupt_entries_as_misses(self, config,
                                                           tmp_path):
@@ -190,7 +207,7 @@ class TestDatasetAndCacheEquivalence:
 class TestAnalysisEquivalence:
     def test_figure_suites_value_identical(self, golden_records):
         columnar, _ = golden_records
-        trace = TraceDataset(columnar)
+        trace = TraceDataset.from_records(columnar)
         new_suite = trace_figure_suite(trace)
         old_suite = figure_suite_rowpath(columnar)
         assert set(new_suite) == set(old_suite)

@@ -5,22 +5,28 @@ every scenario perturbation and any worker/shard count, a study simulated
 through the batched engine produces the same ``.npz`` bytes as the
 reference discrete-event loop.  These tests pin that contract at three
 levels — the raw engine (terminal job states for any pre-draw block size),
-the sharded runner (npz file bytes, worker/shard invariance) and the
-scenario layer (every builtin catalog perturbation).
+the sharded runner (npz file bytes against a study built here through the
+event loop, at several worker/shard counts) and the scenario layer (every
+builtin catalog perturbation).
 """
 
 import pytest
 
 from repro.cloud.fastsim import simulate_fleet
+from repro.cloud.job import CircuitSpec, Job
 from repro.cloud.service import QuantumCloudService
+from repro.core.exceptions import CloudError
 from repro.core.types import JobStatus
+from repro.devices import build_fleet
 from repro.runner import run_study
 from repro.scenarios import builtin_scenarios, expand_sweeps
 from repro.workloads.generator import (
     JobSynthesizer,
     TraceGeneratorConfig,
     plan_submissions,
+    record_for,
 )
+from repro.workloads.trace import TRACE_SCHEMA_VERSION, TraceDataset
 
 CONFIG = dict(total_jobs=90, months=3, seed=23)
 
@@ -100,40 +106,80 @@ def runner_config():
     return TraceGeneratorConfig(**CONFIG)
 
 
-def test_run_study_npz_bytes_identical(runner_config, tmp_path):
-    """The engine switch yields byte-for-byte identical saved traces."""
-    paths = {}
-    for engine in ("event", "batched"):
-        result = run_study(config=runner_config, workers=1, use_cache=False,
-                           engine=engine)
-        assert result.engine == engine
-        assert result.metadata["engine"] == engine
-        assert "simulation" in result.metadata["phase_seconds"]
-        paths[engine] = tmp_path / f"{engine}.npz"
-        result.trace.save(paths[engine])
-    assert paths["batched"].read_bytes() == paths["event"].read_bytes()
+@pytest.fixture(scope="module")
+def reference_npz(runner_config, tmp_path_factory):
+    """The study's npz bytes built through the event loop, not the runner.
+
+    Synthesis, one ``QuantumCloudService`` over the whole fleet, then
+    ``record_for`` and ``TraceDataset.from_records`` in
+    ``(submit_time, job_id)`` order with the runner's metadata.
+    """
+    config = runner_config
+    fleet, jobs = _synthesise(config)
+    service = QuantumCloudService(fleet, seed=config.seed,
+                                  failure_model=config.build_failure_model())
+    ordered = sorted(jobs, key=lambda j: (j.submit_time, j.job_id))
+    for job in ordered:
+        service.submit(job)
+    service.drain()
+    trace = TraceDataset.from_records(
+        [record_for(job, fleet) for job in ordered],
+        metadata={"seed": config.seed, "total_jobs": len(ordered),
+                  "months": config.months,
+                  "trace_schema": TRACE_SCHEMA_VERSION})
+    path = tmp_path_factory.mktemp("reference") / "event.npz"
+    trace.save(path)
+    return path.read_bytes()
+
+
+def test_run_study_npz_bytes_identical(runner_config, reference_npz,
+                                       tmp_path):
+    """The runner's saved trace equals the event-loop reference study."""
+    result = run_study(config=runner_config, workers=1, use_cache=False)
+    assert "simulation" in result.metadata["phase_seconds"]
+    path = tmp_path / "runner.npz"
+    result.trace.save(path)
+    assert path.read_bytes() == reference_npz
 
 
 def test_worker_and_shard_counts_do_not_change_bytes(runner_config,
+                                                     reference_npz,
                                                      tmp_path):
-    """Batched engine at 2 workers / 3 shards == event engine at 1 / 1."""
-    reference = run_study(config=runner_config, workers=1, num_shards=1,
-                          use_cache=False, engine="event")
+    """2 workers / 3 shards through the runner == the event-loop study."""
     sharded = run_study(config=runner_config, workers=2, num_shards=3,
-                        use_cache=False, engine="batched")
-    reference_path = tmp_path / "reference.npz"
+                        use_cache=False)
     sharded_path = tmp_path / "sharded.npz"
-    reference.trace.save(reference_path)
     sharded.trace.save(sharded_path)
-    assert sharded_path.read_bytes() == reference_path.read_bytes()
+    assert sharded_path.read_bytes() == reference_npz
 
 
-def test_unknown_engine_rejected(runner_config):
-    from repro.core.exceptions import WorkloadError
+# -- the overflow outcome ------------------------------------------------------------
 
-    with pytest.raises(WorkloadError):
-        run_study(config=runner_config, workers=1, use_cache=False,
-                  engine="warp-drive")
+
+def _late_job():
+    spec = CircuitSpec(name="c", width=2, depth=6, num_gates=10, cx_count=3,
+                       cx_depth=2)
+    return Job(provider="open", backend_name="ibmq_athens",
+               circuits=[spec] * 2, shots=1024, submit_time=4e10,
+               job_id="late")
+
+
+def test_demand_overflow_is_the_same_cloud_error_on_both_simulators():
+    """Past ~3.7e10 s the demand growth leaves float range; both
+    simulators name the machine and the clock instead of leaking a bare
+    OverflowError."""
+    fleet = build_fleet(["ibmq_athens"], seed=2)
+    service = QuantumCloudService(fleet, seed=2)
+    with pytest.raises(CloudError) as event_error:
+        service.submit(_late_job())
+        service.drain()
+    with pytest.raises(CloudError) as batched_error:
+        simulate_fleet(fleet, [_late_job()], seed=2)
+    message = str(event_error.value)
+    assert message == str(batched_error.value)
+    assert "'ibmq_athens'" in message and "40000000000.0" in message
+    assert isinstance(event_error.value.__cause__, OverflowError)
+    assert isinstance(batched_error.value.__cause__, OverflowError)
 
 
 # -- every builtin scenario perturbation ---------------------------------------------

@@ -2,8 +2,8 @@
 
 Covers the determinism contract of :class:`~repro.runner.pool.
 SharedWorkerPool` / :func:`~repro.runner.executor.run_suite` (a suite run
-is byte-identical to per-scenario sequential runs for any worker/shard
-count), seed-replicate fingerprints, sweep expansion, and the failure-path
+is byte-identical to one independent ``run_study`` call per distinct
+expansion, for any worker/shard count), seed-replicate fingerprints, sweep expansion, and the failure-path
 hygiene of the trace cache and the pool.
 """
 
@@ -47,12 +47,26 @@ def base_config():
     return TraceGeneratorConfig(**CONFIG)
 
 
+def _independent_studies(base_config, scenarios):
+    """Scenario name -> trace of its own ``run_study`` call, one call per
+    distinct expansion: the reference every suite run must match."""
+    traces_by_key = {}
+    traces = {}
+    for scenario in scenarios:
+        config = scenario.apply_to(base_config)
+        key = config_fingerprint(config)
+        if key not in traces_by_key:
+            traces_by_key[key] = run_study(
+                config=config, workers=1, num_shards=1,
+                use_cache=False).trace
+        traces[scenario.name] = traces_by_key[key]
+    return traces
+
+
 @pytest.fixture(scope="module")
 def sequential_suite(base_config):
-    """The per-scenario sequential reference every suite run must match."""
-    engine = ScenarioEngine(base_config, workers=1, num_shards=1,
-                            suite_scheduling=False)
-    return engine.run(resolve_scenarios(SUITE_NAMES), use_cache=False)
+    """Independent solo studies, run one after another."""
+    return _independent_studies(base_config, resolve_scenarios(SUITE_NAMES))
 
 
 def _trace_bytes(tmp_path, tag, trace):
@@ -77,7 +91,7 @@ class TestSuiteDeterminism:
             ours = _trace_bytes(tmp_path, f"suite-{workers}-{name}",
                                 suite.run_for(name).trace)
             reference = _trace_bytes(tmp_path, f"seq-{workers}-{name}",
-                                     sequential_suite.run_for(name).trace)
+                                     sequential_suite[name])
             assert ours == reference, name
 
     def test_run_suite_matches_solo_studies(self, base_config, tmp_path):
@@ -140,20 +154,6 @@ class TestSuiteDeterminism:
         epochs = {epoch for epoch, _ in pool_module._STATE}
         assert len(epochs) <= 1
         assert len(pool_module._STATE) <= 1
-
-    def test_sequential_engine_uses_the_supplied_pool(self, base_config):
-        submissions = []
-
-        class RecordingPool(SharedWorkerPool):
-            def submit_synthesis(self, *args, **kwargs):
-                submissions.append("synthesis")
-                return super().submit_synthesis(*args, **kwargs)
-
-        pool = RecordingPool(1)
-        engine = ScenarioEngine(base_config, pool=pool,
-                                suite_scheduling=False)
-        engine.run(resolve_scenarios(("baseline",)), use_cache=False)
-        assert submissions  # the scenario ran on the caller's pool
 
 
 class TestReplicates:
@@ -337,12 +337,10 @@ class TestFailurePaths:
             MachineOutage("ibmqx2", first_month=0, last_month=1),))
         shared = ScenarioEngine(base_config, workers=2, num_shards=3).run(
             [scenario], use_cache=False)
-        solo = ScenarioEngine(base_config, workers=1, num_shards=1,
-                              suite_scheduling=False).run(
-            [scenario], use_cache=False)
+        solo = _independent_studies(base_config, [scenario])
         assert _trace_bytes(tmp_path, "shared",
                             shared.run_for("outage").trace) == \
-            _trace_bytes(tmp_path, "solo", solo.run_for("outage").trace)
+            _trace_bytes(tmp_path, "solo", solo["outage"])
 
 
 class TestSuiteEvents:
