@@ -11,9 +11,6 @@ Measures, at a configurable trace scale:
 * **analysis** — the full trace-driven figure suite, vectorised versus
   per-record loops,
 * **cache** — npz column-dump save/load versus the legacy JSON round-trip.
-* **out_of_core** — the figure-suite analysis on a tiled million-row trace
-  under a fixed resident-bytes budget versus fully in RAM: wall-clock,
-  peak-RSS growth and spill counts per block size.
 * **export** — the optional Arrow/Parquet export path, skipped cleanly
   (``"skipped": true`` in the artifact) when pyarrow is unavailable.
 
@@ -34,7 +31,7 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, List
 
 import numpy as np
 
@@ -42,7 +39,6 @@ from repro.analysis.figures import trace_figure_suite
 from repro.cloud.service import QuantumCloudService
 from repro.core.env import env_int
 from repro.runner.cache import TraceCache, config_fingerprint
-from repro.workloads.blocks import ResidencyGovernor
 from repro.workloads.generator import (
     JobSynthesizer,
     TraceGeneratorConfig,
@@ -50,7 +46,7 @@ from repro.workloads.generator import (
     plan_submissions,
     record_for,
 )
-from repro.workloads.trace import _STORED_COLUMNS, TraceDataset
+from repro.workloads.trace import TraceDataset
 
 # The row-at-a-time reference is a test oracle and lives beside the tests.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
@@ -127,8 +123,6 @@ def bench_construct(records: List, repeats: int) -> Dict[str, object]:
 
 def bench_filter_groupby(trace: TraceDataset, records: List,
                          repeats: int) -> Dict[str, object]:
-    import numpy as np
-
     def columnar():
         # completed-job selection, per-machine median queue, monthly job
         # counts, large-batch selection, status counts: the selection and
@@ -212,117 +206,6 @@ def bench_cache(trace: TraceDataset, config: TraceGeneratorConfig,
     }
 
 
-def _peak_rss_kb() -> Optional[int]:
-    """Lifetime peak RSS of this process in KiB (None when unavailable)."""
-    try:
-        import resource
-    except ImportError:  # non-POSIX
-        return None
-    return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
-
-
-def _tiled_blocks(base: TraceDataset, total_rows: int,
-                  block_rows: int) -> Iterator[Dict[str, np.ndarray]]:
-    """Column blocks tiling ``base`` out to ``total_rows`` rows.
-
-    Block ``i`` covers rows ``[i * block_rows, ...)`` of one global tiling
-    of the base trace, so the assembled dataset is identical for every
-    block size — and no full-length column ever exists in memory, which is
-    the point of the out-of-core measurement.
-    """
-    base_columns = {name: base._columns[name] for name in _STORED_COLUMNS}
-    base_rows = len(base)
-    produced = 0
-    while produced < total_rows:
-        rows = min(block_rows, total_rows - produced)
-        indices = np.arange(produced, produced + rows) % base_rows
-        yield {name: column[indices]
-               for name, column in base_columns.items()}
-        produced += rows
-
-
-def _jsonable(value: object) -> object:
-    """Digest-friendly view of a figure suite (tuple keys, numpy values)."""
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, dict):
-        return {str(key): _jsonable(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(item) for item in value]
-    return value
-
-
-def bench_out_of_core(base: TraceDataset, total_rows: int,
-                      budget_bytes: int) -> Dict[str, object]:
-    """Figure-suite analysis at ``total_rows`` rows, budgeted vs in-RAM.
-
-    The budgeted modes run first: ``ru_maxrss`` is a lifetime high-water
-    mark, so the low-memory passes must be measured before the in-RAM
-    reference inflates it.
-    """
-    modes: List[Dict[str, object]] = []
-    reference_digest = None
-
-    def run_mode(label: str, block_rows: Optional[int]) -> None:
-        nonlocal reference_digest
-        rss_before = _peak_rss_kb()
-        started = time.perf_counter()
-        if block_rows is None:
-            columns = {
-                name: np.concatenate([b[name] for b in _tiled_blocks(
-                    base, total_rows, total_rows)])
-                for name in _STORED_COLUMNS
-            }
-            trace = TraceDataset.from_columns(columns, dict(base._vocabs))
-        else:
-            governor = ResidencyGovernor(budget_bytes)
-            trace = TraceDataset.from_blocks(
-                _tiled_blocks(base, total_rows, block_rows),
-                dict(base._vocabs), governor=governor)
-        build_seconds = time.perf_counter() - started
-
-        started = time.perf_counter()
-        suite = trace_figure_suite(trace)
-        analysis_seconds = time.perf_counter() - started
-        rss_after = _peak_rss_kb()
-        digest = json.dumps(_jsonable(suite), sort_keys=True, default=str)
-        if reference_digest is None:
-            reference_digest = digest
-        stats = trace.data_plane_stats()
-        modes.append({
-            "mode": label,
-            "rows": len(trace),
-            "block_rows": block_rows,
-            "budget_bytes": budget_bytes if block_rows else None,
-            "column_bytes": trace.column_nbytes(),
-            "build_seconds": round(build_seconds, 3),
-            "analysis_seconds": round(analysis_seconds, 3),
-            "peak_rss_kb": rss_after,
-            "peak_rss_growth_kb": (rss_after - rss_before
-                                   if rss_after is not None
-                                   and rss_before is not None else None),
-            "spills": stats["spills"],
-            "loads": stats["loads"],
-            "value_identical": digest == reference_digest,
-        })
-        print(f"[dataplane]   out-of-core {label}: "
-              f"build {modes[-1]['build_seconds']}s, "
-              f"analysis {modes[-1]['analysis_seconds']}s, "
-              f"rss +{modes[-1]['peak_rss_growth_kb']} KiB, "
-              f"{modes[-1]['spills']} spills")
-
-    for block_rows in (16_384, 65_536, 262_144):
-        if block_rows * 2 <= total_rows:  # at least two blocks to govern
-            run_mode(f"budgeted-{block_rows}", block_rows)
-    run_mode("in-ram", None)
-    return {
-        "total_rows": total_rows,
-        "budget_bytes": budget_bytes,
-        "all_value_identical": all(m["value_identical"] for m in modes),
-        "modes": modes,
-    }
-
-
 def bench_export(trace: TraceDataset, scratch: Path) -> Dict[str, object]:
     """Arrow/Parquet export smoke — records a clean skip without pyarrow."""
     try:
@@ -359,15 +242,6 @@ def main(argv=None) -> int:
     parser.add_argument("--scratch", default=None,
                         help="scratch directory for cache files "
                              "(default: a temp dir)")
-    parser.add_argument("--out-of-core-rows", type=int,
-                        default=env_int("REPRO_BENCH_OOC_ROWS", 0),
-                        help="rows of the tiled out-of-core trace "
-                             "(default: 1M at full scale, 200k reduced; "
-                             "0 = auto)")
-    parser.add_argument("--out-of-core-budget", type=int,
-                        default=32 << 20,
-                        help="resident-bytes budget of the out-of-core "
-                             "modes (default: %(default)s)")
     args = parser.parse_args(argv)
 
     config = TraceGeneratorConfig(total_jobs=args.jobs, months=args.months,
@@ -420,13 +294,6 @@ def main(argv=None) -> int:
               f"({export_section['parquet_bytes']} B)")
 
     full_scale = args.jobs >= 2000 and args.months >= 20
-
-    ooc_rows = args.out_of_core_rows or (1_000_000 if full_scale
-                                         else 200_000)
-    print(f"[dataplane] out-of-core analysis at {ooc_rows} rows under a "
-          f"{args.out_of_core_budget} B budget ...")
-    out_of_core_section = bench_out_of_core(trace, ooc_rows,
-                                            args.out_of_core_budget)
     payload = {
         "benchmark": "dataplane",
         "jobs": args.jobs,
@@ -440,7 +307,6 @@ def main(argv=None) -> int:
         "analysis": analysis_section,
         "cache": cache_section,
         "export": export_section,
-        "out_of_core": out_of_core_section,
         "targets": {
             "analysis_speedup_min": 5.0,
             "run_study_speedup_min": 2.0,

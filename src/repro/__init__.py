@@ -29,7 +29,7 @@ from repro.prediction import RuntimePredictionStudy, QueueTimePredictor
 from repro.scheduling import MachineSelector, SelectionObjective
 from repro.scenarios import Scenario, builtin_scenarios, run_scenarios
 
-__version__ = "1.10.0"
+__version__ = "1.11.0"
 
 __all__ = [
     "QuantumCircuit",

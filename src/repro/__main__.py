@@ -66,18 +66,11 @@ from repro.scenarios import (
     sweep_from_flags,
 )
 from repro.telemetry import get_registry, get_tracer, render_prometheus
-from repro.workloads.blocks import set_memory_budget
 from repro.workloads.generator import TraceGeneratorConfig
 from repro.workloads.trace import TraceDataset
 
 
 def _add_generation_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--memory-budget", default=os.environ.get("REPRO_MEMORY_BUDGET"),
-        metavar="BYTES",
-        help="resident-bytes budget for trace columns (suffixes K/M/G); "
-             "datasets past it chunk into blocks that spill to disk "
-             "(default: $REPRO_MEMORY_BUDGET, or fully resident)")
     parser.add_argument(
         "--jobs", type=int, default=env_int("REPRO_BENCH_JOBS", 6000),
         help="total jobs of the study trace (default: %(default)s)")
@@ -1033,13 +1026,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    budget = getattr(args, "memory_budget", None)
     trace_out = getattr(args, "trace_out", None)
     if trace_out:
         get_tracer().enable()
     try:
-        if budget is not None:
-            set_memory_budget(budget)
         return int(args.handler(args))
     except ReproError as exc:
         print(f"repro: error: {exc}", file=sys.stderr)

@@ -21,10 +21,8 @@ for the CX-depth critical path.  It preserves the orderings the paper's
 Fig. 7 demonstrates without re-transpiling every job.
 
 Every reduction here is column-at-a-time (the fidelity proxy touches four
-numeric columns plus per-machine masks), so scenario comparison runs
-against chunked traces without the full column set ever being resident —
-``compare-scenarios`` works under a resident-bytes budget smaller than one
-scenario's column bytes.
+numeric columns plus per-machine masks), so a lazily loaded cached trace
+decompresses only the columns a comparison reads.
 """
 
 from __future__ import annotations

@@ -1,8 +1,7 @@
 """Execution-time analyses (Section VI, Figures 13-14), as column operations.
 
-Per-machine run-time distributions stream block-wise through
-``grouped_values``; the batch-size binning touches two columns at a time,
-so nothing here needs the full trace resident under the chunked data plane.
+Per-machine run-time distributions go through ``grouped_values``; the
+batch-size binning touches two columns at a time.
 """
 
 from __future__ import annotations

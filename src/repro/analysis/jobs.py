@@ -5,7 +5,7 @@
 
 The monthly aggregation runs as integer scatter-adds over the trace's month
 column rather than a per-record walk; only the three columns involved are
-materialised (block-streamed under the chunked data plane), never the trace.
+materialised, never the trace.
 """
 
 from __future__ import annotations

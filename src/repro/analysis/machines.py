@@ -7,8 +7,8 @@
 Fig. 9 evaluates the external-load model over the whole sampling window in
 one vectorised call per machine, and the studied-queue correction is a
 masked column computation instead of a per-record scan.  Per-machine
-distributions stream through the block-wise ``grouped_values`` primitive,
-so the chunked data plane never materialises a per-machine sub-trace.
+distributions go through the two-column ``grouped_values`` primitive, so
+no per-machine sub-trace is ever built.
 """
 
 from __future__ import annotations

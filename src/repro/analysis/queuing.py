@@ -7,10 +7,8 @@
 
 All series are computed as column NumPy operations on the columnar
 :class:`~repro.workloads.trace.TraceDataset` (missing values are NaN),
-touching one column at a time — under the chunked data plane a column is
-streamed out of its blocks, so no analysis here ever needs the whole trace
-resident, and the per-machine grouping goes through the block-wise
-``grouped_values`` primitive.
+touching one column at a time; the per-machine grouping goes through the
+two-column ``grouped_values`` primitive.
 """
 
 from __future__ import annotations
@@ -138,9 +136,8 @@ def ratio_report(trace: TraceDataset) -> RatioReport:
 def queue_time_by_machine(trace: TraceDataset) -> Dict[str, DistributionSummary]:
     """Fig. 10 series: distribution of per-job queue minutes per machine.
 
-    Streams block-wise through
-    :meth:`~repro.workloads.trace.TraceDataset.grouped_values`, so only the
-    machine and queue-minute columns of one block are resident at a time.
+    Goes through :meth:`~repro.workloads.trace.TraceDataset.grouped_values`,
+    so only the machine and queue-minute columns are touched.
     """
     result: Dict[str, DistributionSummary] = {}
     for machine, minutes in trace.grouped_values("machine",

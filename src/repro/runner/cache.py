@@ -9,11 +9,8 @@ the result — gets the exact bytes of the first run back.
 
 Entries are written as the versioned compressed ``.npz`` column dump of
 :meth:`~repro.workloads.trace.TraceDataset.to_npz` (deterministic bytes,
-loads as typed arrays with no row parsing).  Traces whose column bytes
-exceed their resident-memory budget are stored as *block-manifest
-directories* instead (``trace-<key>.blocks/``: a ``manifest.json`` plus
-one versioned block ``.npz`` per chunk), written and re-served block by
-block so neither ``put`` nor ``get`` ever materialises the whole trace.
+loads as typed arrays with no row parsing), one ``trace-<key>.npz`` file
+per entry; nothing else in the cache directory is ever read as an entry.
 *Stale-content* invalidation happens through the fingerprint itself —
 entries written by incompatible versions live under different keys and
 simply miss.
@@ -26,7 +23,6 @@ import enum
 import hashlib
 import json
 import os
-import shutil
 import uuid
 import zipfile
 from dataclasses import dataclass
@@ -153,89 +149,56 @@ class TraceCache:
     def path_for(self, key: str) -> Path:
         return self.root / f"trace-{key}.npz"
 
-    def manifest_dir_for(self, key: str) -> Path:
-        """Where a block-manifest entry for ``key`` would live (the layout
-        used for traces too large for their resident-bytes budget)."""
-        return self.root / f"trace-{key}.blocks"
-
     def existing_path_for(self, key: str) -> Optional[Path]:
         """The on-disk entry a hit for ``key`` would be served from, if any."""
         path = self.path_for(key)
-        if path.is_file():
-            return path
-        manifest_dir = self.manifest_dir_for(key)
-        if manifest_dir.is_dir():
-            return manifest_dir
-        return None
+        return path if path.is_file() else None
 
     def get(self, key: str, lazy: bool = False) -> Optional[TraceDataset]:
         """The cached trace for ``key``, or None on a miss.
 
-        The ``.npz`` column dump is tried first, then a block-manifest
-        directory under the same key.  A corrupt or unreadable entry
-        (e.g. hand-edited, or truncated mid-write) counts as a miss and
-        will be overwritten by the regenerated trace rather than poisoning
-        every later run.  A *schema-version* mismatch, however, raises
+        A missing, corrupt or unreadable entry (e.g. hand-edited, or
+        truncated mid-write) counts as a miss and will be overwritten by the
+        regenerated trace rather than poisoning every later run.  A
+        *schema-version* mismatch, however, raises
         :class:`~repro.core.exceptions.TraceSchemaError` with the expected
         and found versions and the cache path — an entry written under an
         incompatible layout sitting at the exact key this config hashes to
         is a configuration problem to surface, not one to silently re-pay
         minutes of regeneration for on every run.
 
-        ``lazy=True`` defers per-column decompression of ``.npz`` entries to
-        first access (see :meth:`TraceDataset.from_npz`).  Block-manifest
-        entries always load lazily: every block starts spilled and the
-        process-wide memory budget governs how many become resident.
+        ``lazy=True`` defers per-column decompression to first access (see
+        :meth:`TraceDataset.from_npz`).
         """
-        manifest_dir = self.manifest_dir_for(key)
-        candidates = [
-            (self.path_for(key),
-             lambda p: TraceDataset.from_npz(p, lazy=lazy)),
-            (manifest_dir, TraceDataset.from_block_manifest),
-        ]
+        path = self.path_for(key)
         with get_tracer().span("cache.get", study=key):
-            for path, loader in candidates:
-                if path is manifest_dir:
-                    if not (path / "manifest.json").is_file():
-                        continue
-                elif not path.is_file():
-                    continue
-                try:
-                    trace = loader(path)
-                except TraceSchemaError as exc:
-                    raise TraceSchemaError(
-                        f"cache entry {path} has an incompatible trace "
-                        f"schema: {exc}; delete the entry (or point "
-                        f"--cache-dir at a fresh directory) to regenerate "
-                        f"it") from exc
-                except (ValueError, TypeError, KeyError, OSError,
-                        zipfile.BadZipFile):
-                    continue
-                found = trace.metadata.get("trace_schema")
-                if found is not None and found != TRACE_SCHEMA_VERSION:
-                    raise TraceSchemaError(
-                        f"cache entry {path} holds a trace generated under "
-                        f"TRACE_SCHEMA_VERSION={found!r} but this version "
-                        f"expects {TRACE_SCHEMA_VERSION}; delete the entry "
-                        f"(or point --cache-dir at a fresh directory) to "
-                        f"regenerate it")
-                self.hits += 1
-                self._touch(path)
-                return trace
-            self.misses += 1
-            return None
+            try:
+                trace = TraceDataset.from_npz(path, lazy=lazy)
+            except TraceSchemaError as exc:
+                raise TraceSchemaError(
+                    f"cache entry {path} has an incompatible trace schema: "
+                    f"{exc}; delete the entry (or point --cache-dir at a "
+                    f"fresh directory) to regenerate it") from exc
+            except (ValueError, TypeError, KeyError, OSError,
+                    zipfile.BadZipFile):
+                self.misses += 1
+                return None
+            found = trace.metadata.get("trace_schema")
+            if found is not None and found != TRACE_SCHEMA_VERSION:
+                raise TraceSchemaError(
+                    f"cache entry {path} holds a trace generated under "
+                    f"TRACE_SCHEMA_VERSION={found!r} but this version "
+                    f"expects {TRACE_SCHEMA_VERSION}; delete the entry (or "
+                    f"point --cache-dir at a fresh directory) to regenerate "
+                    f"it")
+            self.hits += 1
+            self._touch(path)
+            return trace
 
     def get_bytes(self, key: str) -> Optional[bytes]:
-        """The exact cached bytes for ``key`` (None on a miss).
-
-        Block-manifest entries have no single-file byte representation —
-        serving one through this path would materialise the whole trace,
-        which is exactly what the out-of-core format exists to avoid — so
-        they miss here; callers that need the data stream it block-wise
-        through :meth:`get` instead.
-        """
+        """The exact cached bytes for ``key`` (None on a miss)."""
         path = self.existing_path_for(key)
-        if path is None or path.is_dir():
+        if path is None:
             self.misses += 1
             return None
         data = path.read_bytes()
@@ -254,45 +217,23 @@ class TraceCache:
     def put(self, key: str, trace: TraceDataset) -> Path:
         """Store ``trace`` under ``key`` atomically; returns the cache path.
 
-        In-RAM-sized traces are written as the single deterministic ``.npz``
-        dump (byte-identical to every prior release); a trace whose column
-        bytes exceed its resident budget is streamed block by block into a
-        ``trace-<key>.blocks/`` manifest directory instead, so the put never
-        materialises it.  Either way the dump goes to a uniquely named
-        scratch location first (a uuid suffix, so concurrent writers — or a
-        recycled pid — can never collide) and is renamed into place only
-        once fully written; if the dump raises, the scratch is removed
-        instead of accumulating as litter.  The other format's entry for
-        the same key is dropped so a key never resolves ambiguously.
+        The trace is written as the deterministic ``.npz`` dump
+        (byte-identical to every prior release).  The dump goes to a
+        uniquely named scratch file first (a uuid suffix, so concurrent
+        writers — or a recycled pid — can never collide) and is renamed into
+        place only once fully written; if the dump raises, the scratch is
+        removed instead of accumulating as litter.
         """
         self.root.mkdir(parents=True, exist_ok=True)
-        npz_path = self.path_for(key)
-        manifest_dir = self.manifest_dir_for(key)
-        with get_tracer().span("cache.put", study=key,
-                               out_of_core=trace.is_out_of_core):
-            return self._put(key, trace, npz_path, manifest_dir)
-
-    def _put(self, key: str, trace: TraceDataset, npz_path: Path,
-             manifest_dir: Path) -> Path:
-        if trace.is_out_of_core:
-            scratch_dir = manifest_dir.with_suffix(
-                f".tmp.{uuid.uuid4().hex}")
+        path = self.path_for(key)
+        with get_tracer().span("cache.put", study=key):
+            scratch = path.with_suffix(f".tmp.{uuid.uuid4().hex}")
             try:
-                trace.to_block_manifest(scratch_dir)
-                shutil.rmtree(manifest_dir, ignore_errors=True)
-                scratch_dir.replace(manifest_dir)
+                trace.to_npz(scratch)
+                scratch.replace(path)
             finally:
-                shutil.rmtree(scratch_dir, ignore_errors=True)
-            npz_path.unlink(missing_ok=True)
-            return manifest_dir
-        scratch = npz_path.with_suffix(f".tmp.{uuid.uuid4().hex}")
-        try:
-            trace.to_npz(scratch)
-            scratch.replace(npz_path)
-        finally:
-            scratch.unlink(missing_ok=True)
-        shutil.rmtree(manifest_dir, ignore_errors=True)
-        return npz_path
+                scratch.unlink(missing_ok=True)
+            return path
 
     # -- introspection and eviction ----------------------------------------------------
 
@@ -303,30 +244,18 @@ class TraceCache:
             return found
         for path in self.root.iterdir():
             name = path.name
-            if not name.startswith("trace-"):
+            if not (name.startswith("trace-") and path.suffix == ".npz"
+                    and path.is_file()):
                 continue
-            if path.suffix == ".npz" and path.is_file():
-                try:
-                    stat = path.stat()
-                except OSError:  # evicted by a concurrent pruner mid-scan
-                    continue
-                size, modified = stat.st_size, stat.st_mtime
-            elif path.suffix == ".blocks" and path.is_dir():
-                try:
-                    stat = path.stat()
-                    size = sum(child.stat().st_size
-                               for child in path.iterdir()
-                               if child.is_file())
-                    modified = stat.st_mtime
-                except OSError:
-                    continue
-            else:
+            try:
+                stat = path.stat()
+            except OSError:  # evicted by a concurrent pruner mid-scan
                 continue
             found.append(CacheEntry(
-                key=name[len("trace-"):-len(path.suffix)],
+                key=name[len("trace-"):-len(".npz")],
                 path=path,
-                size_bytes=size,
-                modified=modified,
+                size_bytes=stat.st_size,
+                modified=stat.st_mtime,
             ))
         found.sort(key=lambda entry: (entry.modified, entry.key))
         return found
@@ -336,20 +265,13 @@ class TraceCache:
         return sum(entry.size_bytes for entry in self.entries())
 
     def evict(self, key: str) -> bool:
-        """Delete the entry for ``key`` (all formats); True if one existed."""
-        evicted = False
+        """Delete the entry for ``key``; True if one existed."""
         try:
             self.path_for(key).unlink()
-            evicted = True
         except OSError:
-            pass
-        manifest_dir = self.manifest_dir_for(key)
-        if manifest_dir.is_dir():
-            shutil.rmtree(manifest_dir, ignore_errors=True)
-            evicted = True
-        if evicted:
-            self.evictions += 1
-        return evicted
+            return False
+        self.evictions += 1
+        return True
 
     def prune(self, max_bytes: int) -> List[CacheEntry]:
         """Evict least-recently-used entries until ≤ ``max_bytes`` remain.
@@ -367,10 +289,7 @@ class TraceCache:
             if total <= max_bytes:
                 break
             try:
-                if entry.path.is_dir():
-                    shutil.rmtree(entry.path)
-                else:
-                    entry.path.unlink()
+                entry.path.unlink()
             except FileNotFoundError:
                 total -= entry.size_bytes
                 continue

@@ -36,10 +36,8 @@ Simulation workers return their rows already columnar
 (:class:`~repro.workloads.trace.ShardColumns`), and the merge is pure
 array work — vocabulary union, code remap and one stable lexsort by
 ``(submit_time, job_id)`` — so shard results never round-trip through
-row objects.  Results are memoised on disk through
-:class:`~repro.runner.cache.TraceCache`; under an active memory budget the
-merged dataset is chunked into governed column blocks (see
-:mod:`repro.workloads.blocks`) that spill past the budget.
+row objects.  The merged dataset is plain in-memory columns, memoised on
+disk through :class:`~repro.runner.cache.TraceCache`.
 """
 
 from __future__ import annotations

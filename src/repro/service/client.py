@@ -139,9 +139,8 @@ class StudyServiceClient:
         """The finished trace's exact cached bytes (the ``.npz`` dump).
 
         Buffers the whole body; prefer :meth:`fetch_trace_to` when the
-        destination is a file — multi-month traces run to hundreds of
-        megabytes, and holding them in one bytes object defeats the
-        out-of-core data plane the service sits in front of.
+        destination is a file, which streams the body without holding it
+        in one bytes object.
         """
         with self._request("GET", f"/results/{fingerprint}") as response:
             return response.read()

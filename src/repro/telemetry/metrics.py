@@ -1,8 +1,8 @@
 """The process-wide metrics registry: counters, gauges, histograms.
 
 Every layer of the reproduction keeps *some* cumulative accounting — the
-trace cache counts hits, the residency governor counts spills, the worker
-pool counts tasks, the job registry counts per-tenant dispatches.  Before
+trace cache counts hits and evictions, the worker pool counts tasks, the
+job registry counts per-tenant dispatches.  Before
 this module each of those was a private ``int`` attribute; now they are
 instruments registered on one :class:`MetricsRegistry`, so the gateway's
 ``GET /metrics`` endpoint (Prometheus text exposition) and the ``repro
@@ -120,9 +120,9 @@ class Gauge:
 class _CallbackGauge:
     """A gauge computed on read from a weakly-referenced owner.
 
-    Used for derived values (resident block bytes) that already exist as
-    properties on live objects; the registry never keeps those objects
-    alive, and a dead owner's sample silently drops out of the sum.
+    Used for derived values that already exist as properties on live
+    objects; the registry never keeps those objects alive, and a dead
+    owner's sample silently drops out of the sum.
     """
 
     __slots__ = ("name", "labels", "_owner", "_read")

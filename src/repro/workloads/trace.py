@@ -14,20 +14,15 @@ vectorised array operations rather than hundreds of thousands of Python
 attribute accesses.  Row-oriented callers keep working: indexing and
 iteration materialise :class:`JobRecord` views lazily from the columns.
 
+The columns always live in memory as one ``{name: ndarray}`` mapping: a
+plain dict, or a lazy mapping over an ``.npz`` file that decompresses each
+column on first access.  The paper's study (~6000 jobs) is about a megabyte
+of columns, so there is no chunked or spilled backend.
+
 Persistence: JSON and CSV round-trips (unchanged, byte-compatible formats)
 plus a versioned compressed ``.npz`` column dump that loads an order of
 magnitude faster and is written deterministically (same trace in, same
 bytes out) so on-disk caches stay byte-stable.
-
-Out-of-core: when a resident-bytes budget is active (see
-:func:`repro.workloads.blocks.set_memory_budget`), a dataset is chunked
-into fixed-size :class:`~repro.workloads.blocks.ColumnBlock` rows that
-spill to versioned ``.npz`` block files past the budget and stream back on
-access.  :meth:`TraceDataset.iter_blocks` / :meth:`TraceDataset.map_blocks`
-are the sanctioned full-scan path; column access, selection and group-by
-keep working unchanged on chunked datasets (they stream block-wise under
-the hood), and every on-disk format — including the byte-stable cache
-``.npz`` — is identical whether or not the dataset was chunked in memory.
 """
 
 from __future__ import annotations
@@ -55,16 +50,6 @@ import numpy as np
 
 from repro.core.exceptions import TraceSchemaError, WorkloadError
 from repro.core.types import JobStatus
-from repro.workloads.blocks import (
-    BLOCK_SCHEMA_VERSION,
-    BlockStore,
-    ColumnBlock,
-    DEFAULT_BLOCK_ROWS,
-    ResidencyGovernor,
-    get_memory_budget,
-    write_block_file,
-    write_npz_member,
-)
 
 #: Version of the *generated-trace semantics*: bump when the generator or
 #: simulator changes the content of equivalent-config traces so stale cache
@@ -223,6 +208,18 @@ def _encode_categorical(values: Sequence[str]) -> Tuple[np.ndarray, Tuple[str, .
     return codes, vocab
 
 
+def write_npz_member(archive: zipfile.ZipFile, member: str,
+                     array: np.ndarray) -> None:
+    """Write one ``.npy`` member with fixed timestamp and compression, so
+    the same array always produces the same archive bytes."""
+    buffer = io.BytesIO()
+    np.lib.format.write_array(buffer, np.ascontiguousarray(array),
+                              allow_pickle=False)
+    info = zipfile.ZipInfo(member + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
+    info.compress_type = zipfile.ZIP_DEFLATED
+    archive.writestr(info, buffer.getvalue())
+
+
 def _read_member_array(archive: zipfile.ZipFile, member: str) -> np.ndarray:
     with archive.open(member + ".npy") as handle:
         return np.lib.format.read_array(io.BytesIO(handle.read()),
@@ -348,8 +345,7 @@ def merge_shard_columns(
     """
     payloads = [p for p in payloads if p is not None]
     if not payloads or sum(p.rows for p in payloads) == 0:
-        columns, vocabs = columns_from_records([])
-        return TraceDataset._from_columns(columns, vocabs, metadata)
+        return TraceDataset.from_records(metadata=metadata)
     columns: Dict[str, np.ndarray] = {}
     vocabs: Dict[str, Tuple[str, ...]] = {}
     for name in _CATEGORICAL_COLUMNS:
@@ -374,190 +370,44 @@ def merge_shard_columns(
     return TraceDataset.from_columns(columns, vocabs, metadata)
 
 
-class _BlockColumns(dict):
-    """Column mapping over a :class:`~repro.workloads.blocks.BlockStore`.
-
-    Presents the same ``{name: ndarray}`` surface the dataset's plain dict
-    backend does, but a column is concatenated from the store's blocks on
-    every access and never cached — the resident-bytes budget stays in
-    charge of what lives in memory.
-    """
-
-    def __init__(self, store: BlockStore):
-        super().__init__()
-        self._store = store
-
-    def __missing__(self, name: str) -> np.ndarray:
-        if name not in self._store.names:
-            raise KeyError(name)
-        return self._store.column(name)
-
-    def __contains__(self, name: object) -> bool:
-        return name in self._store.names
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._store.names)
-
-    def __len__(self) -> int:
-        return len(self._store.names)
-
-    def keys(self) -> Tuple[str, ...]:  # type: ignore[override]
-        return self._store.names
-
-    def items(self):  # type: ignore[override]
-        return [(name, self[name]) for name in self._store.names]
-
-    def values(self):  # type: ignore[override]
-        return [self[name] for name in self._store.names]
-
-
-#: stored columns each derived column is computed from (block streaming
-#: materialises only these when a scan asks for a derived name)
-_DERIVED_INPUTS: Dict[str, Tuple[str, ...]] = {
-    "queue_minutes": ("queue_seconds",),
-    "run_minutes": ("run_seconds",),
-    "queue_to_run_ratio": ("queue_seconds", "run_seconds"),
-    "per_circuit_queue_seconds": ("queue_seconds", "batch_size"),
-    "per_circuit_run_seconds": ("run_seconds", "batch_size"),
-    "utilization": ("machine_qubits", "circuit_width"),
-    "total_trials": ("batch_size", "shots"),
-    "is_done": ("status",),
-}
-
-#: manifest file name inside a block-manifest cache entry directory
-MANIFEST_NAME = "manifest.json"
-
-
 class TraceDataset:
     """An ordered, columnar collection of :class:`JobRecord` rows.
 
-    Construct through :meth:`from_records`, :meth:`from_columns` or
-    :meth:`from_blocks`; ``TraceDataset()`` is the empty dataset.
+    Construct through :meth:`from_records` or :meth:`from_columns`;
+    ``TraceDataset()`` is the empty dataset.
     """
 
     def __init__(self):
-        self._init_from_records([], None)
+        self._bind(*columns_from_records([]))
 
-    # -- construction ------------------------------------------------------------------
-
-    def _init_from_records(self, rows: List[JobRecord],
-                           metadata: Optional[Dict[str, object]]) -> None:
+    def _bind(self, columns: Dict[str, np.ndarray],
+              vocabs: Dict[str, Tuple[str, ...]],
+              metadata: Optional[Dict[str, object]] = None) -> None:
         self.metadata: Dict[str, object] = dict(metadata or {})
-        columns, vocabs = columns_from_records(rows)
         self._columns = columns
-        self._vocabs = vocabs
+        self._vocabs = dict(vocabs)
         self._derived: Dict[str, np.ndarray] = {}
         self._row_count: Optional[int] = None
-        self._blocks: Optional[BlockStore] = None
-        if rows and get_memory_budget() is not None:
-            self._chunk_in_place()
+
+    # -- construction ------------------------------------------------------------------
 
     @classmethod
     def from_records(cls, records: Optional[Iterable[JobRecord]] = None,
                      metadata: Optional[Dict[str, object]] = None,
                      ) -> "TraceDataset":
         """Build a dataset from row records (the sanctioned spelling)."""
-        dataset = cls.__new__(cls)
-        dataset._init_from_records(list(records or []), metadata)
-        return dataset
-
-    @staticmethod
-    def _columns_from_records(
-        rows: List[JobRecord],
-    ) -> Tuple[Dict[str, np.ndarray], Dict[str, Tuple[str, ...]]]:
-        return columns_from_records(rows)
-
-    @classmethod
-    def _from_columns(cls, columns: Dict[str, np.ndarray],
-                      vocabs: Dict[str, Tuple[str, ...]],
-                      metadata: Optional[Dict[str, object]] = None,
-                      ) -> "TraceDataset":
-        dataset = cls.__new__(cls)
-        dataset.metadata = dict(metadata or {})
-        dataset._columns = columns
-        dataset._vocabs = dict(vocabs)
-        dataset._derived = {}
-        dataset._row_count = None
-        dataset._blocks = None
-        return dataset
+        columns, vocabs = columns_from_records(list(records or []))
+        return cls.from_columns(columns, vocabs, metadata)
 
     @classmethod
     def from_columns(cls, columns: Dict[str, np.ndarray],
                      vocabs: Dict[str, Tuple[str, ...]],
                      metadata: Optional[Dict[str, object]] = None,
                      ) -> "TraceDataset":
-        """Build a dataset from full columns, chunking under a budget."""
-        dataset = cls._from_columns(columns, vocabs, metadata)
-        if len(dataset) and get_memory_budget() is not None:
-            dataset._chunk_in_place()
-        return dataset
-
-    @classmethod
-    def from_blocks(cls, blocks: Iterable[Union[ColumnBlock,
-                                                Dict[str, np.ndarray]]],
-                    vocabs: Dict[str, Tuple[str, ...]],
-                    metadata: Optional[Dict[str, object]] = None,
-                    governor: Optional[ResidencyGovernor] = None,
-                    ) -> "TraceDataset":
-        """Build a chunked dataset from column blocks.
-
-        ``blocks`` yields either ready :class:`ColumnBlock` objects (which
-        must share ``governor``) or plain ``{name: ndarray}`` dicts.  With
-        no blocks an empty (plain) dataset is returned.
-        """
-        store = BlockStore(governor)
-        for block in blocks:
-            if isinstance(block, ColumnBlock):
-                store.append_block(block)
-            else:
-                store.append_arrays(block)
-        if not store.blocks:
-            columns, empty_vocabs = columns_from_records([])
-            empty_vocabs.update(vocabs)
-            return cls._from_columns(columns, empty_vocabs, metadata)
-        return cls._from_block_store(store, vocabs, metadata)
-
-    @classmethod
-    def _from_block_store(cls, store: BlockStore,
-                          vocabs: Dict[str, Tuple[str, ...]],
-                          metadata: Optional[Dict[str, object]] = None,
-                          ) -> "TraceDataset":
+        """Build a dataset over full columns (the arrays are not copied)."""
         dataset = cls.__new__(cls)
-        dataset.metadata = dict(metadata or {})
-        dataset._columns = _BlockColumns(store)
-        dataset._vocabs = dict(vocabs)
-        dataset._derived = {}
-        dataset._row_count = store.rows
-        dataset._blocks = store
+        dataset._bind(columns, vocabs, metadata)
         return dataset
-
-    def _chunk_in_place(self, block_rows: Optional[int] = None,
-                        governor: Optional[ResidencyGovernor] = None) -> None:
-        """Re-back a plain (fully resident) dataset with a block store."""
-        size = len(self)
-        columns = self._columns
-        rows_per_block = int(block_rows) if block_rows else DEFAULT_BLOCK_ROWS
-        budget = (governor.budget if governor is not None
-                  else get_memory_budget())
-        if block_rows is None and budget is not None and size:
-            # Size blocks to the budget: several blocks should fit at once,
-            # so the governor can actually rotate (spill/reload) them.
-            bytes_per_row = max(1, sum(
-                column.nbytes for column in columns.values()) // size)
-            rows_per_block = min(rows_per_block,
-                                 max(1, budget // (4 * bytes_per_row)))
-        rows_per_block = max(1, rows_per_block)
-        store = BlockStore(governor)
-        for start in range(0, max(size, 1), rows_per_block):
-            stop = min(start + rows_per_block, size)
-            store.append_arrays({
-                name: np.ascontiguousarray(column[start:stop])
-                for name, column in columns.items()
-            }, rows=stop - start)
-        self._columns = _BlockColumns(store)
-        self._derived = {}
-        self._row_count = store.rows
-        self._blocks = store
 
     # -- container protocol ------------------------------------------------------------
 
@@ -619,8 +469,6 @@ class TraceDataset:
         rows = list(records)
         if not rows:
             return
-        if self._blocks is not None:
-            self._materialise_in_place()
         new_columns, new_vocabs = columns_from_records(rows)
         for name in (_INT_COLUMNS + _FLOAT_COLUMNS + _OPTIONAL_FLOAT_COLUMNS
                      + _BOOL_COLUMNS):
@@ -647,155 +495,6 @@ class TraceDataset:
         self._derived.clear()
         self._row_count = None
 
-    def _materialise_in_place(self) -> None:
-        """Replace the block backend with plain fully resident columns."""
-        store = self._blocks
-        if store is None:
-            return
-        self._columns = {name: store.column(name) for name in store.names}
-        self._derived = {}
-        self._blocks = None
-
-    # -- the chunked data plane --------------------------------------------------------
-
-    @property
-    def is_chunked(self) -> bool:
-        """True when the dataset is backed by governed column blocks."""
-        return self._blocks is not None
-
-    @property
-    def is_out_of_core(self) -> bool:
-        """True when the column bytes exceed the dataset's budget."""
-        store = self._blocks
-        return (store is not None
-                and store.governor.budget is not None
-                and store.total_nbytes > store.governor.budget)
-
-    def column_nbytes(self) -> int:
-        """Total stored-column bytes (resident or spilled)."""
-        store = self._blocks
-        if store is not None:
-            return store.total_nbytes
-        return sum(column.nbytes for column in self._columns.values())
-
-    def data_plane_stats(self) -> Dict[str, object]:
-        """Residency and spill counters (all zero for a plain dataset)."""
-        store = self._blocks
-        if store is None:
-            return {
-                "chunked": False,
-                "blocks": 1 if len(self) else 0,
-                "rows": len(self),
-                "total_bytes": self.column_nbytes(),
-                "spills": 0,
-                "loads": 0,
-                "evictions": 0,
-            }
-        return {"chunked": True, **store.stats()}
-
-    @staticmethod
-    def _stored_dependencies(names: Optional[Sequence[str]]
-                             ) -> Optional[Tuple[str, ...]]:
-        """Expand requested column names to the stored columns they need."""
-        if names is None:
-            return None
-        needed: List[str] = []
-        for name in names:
-            stored = _DERIVED_INPUTS.get(name, (name,))
-            for dependency in stored:
-                if dependency not in _STORED_COLUMNS:
-                    raise WorkloadError(f"unknown column {name!r}")
-                if dependency not in needed:
-                    needed.append(dependency)
-        return tuple(needed)
-
-    def iter_blocks(self, columns: Optional[Sequence[str]] = None,
-                    block_rows: Optional[int] = None,
-                    ) -> Iterator["TraceDataset"]:
-        """Yield the dataset as resident per-block datasets, in row order.
-
-        This is the sanctioned full-scan path: each yielded block is a
-        small fully resident :class:`TraceDataset` (sharing the parent's
-        vocabularies, so codes and categories line up) and only one block's
-        arrays need to be in memory at a time.  ``columns`` restricts which
-        stored columns are materialised (derived names pull in their
-        inputs); a spilled block then decompresses only those members.
-        ``block_rows`` controls the chunking of *plain* datasets (chunked
-        datasets always yield their physical blocks).
-        """
-        names = self._stored_dependencies(columns)
-        store = self._blocks
-        if store is not None:
-            wanted = tuple(names if names is not None else store.names)
-            for start, stop, block in store.iter_ranges():
-                if names is None:
-                    arrays = dict(block.arrays())
-                else:
-                    arrays = {name: block.column(name) for name in wanted}
-                yield self._block_view(arrays, block.rows)
-            return
-        size = len(self)
-        rows_per_block = max(1, int(block_rows or DEFAULT_BLOCK_ROWS))
-        wanted = tuple(names if names is not None
-                       else tuple(self._columns.keys()))
-        for start in range(0, size, rows_per_block):
-            stop = min(start + rows_per_block, size)
-            arrays = {name: self._columns[name][start:stop]
-                      for name in wanted}
-            yield self._block_view(arrays, stop - start)
-
-    def _block_view(self, arrays: Dict[str, np.ndarray],
-                    rows: int) -> "TraceDataset":
-        view = TraceDataset._from_columns(arrays, self._vocabs)
-        view._row_count = rows
-        return view
-
-    def map_blocks(self, fn: Callable[["TraceDataset"], object],
-                   columns: Optional[Sequence[str]] = None,
-                   block_rows: Optional[int] = None) -> List[object]:
-        """Apply ``fn`` to every block (see :meth:`iter_blocks`)."""
-        return [fn(block)
-                for block in self.iter_blocks(columns, block_rows)]
-
-    def grouped_values(self, by: str, name: str,
-                       drop_missing: bool = True
-                       ) -> Dict[object, np.ndarray]:
-        """Per-group float values of one column, streamed block-wise.
-
-        Equivalent to ``{key: subset.numeric_column(name) for key, subset
-        in trace.group_by(by).items()}`` (same keys, same per-group order)
-        but touches only the two columns involved, one block at a time —
-        the analysis layer's grouped reductions never materialise a full
-        per-group trace.  Keys are sorted; empty groups cannot occur.
-        """
-        parts: Dict[object, List[np.ndarray]] = {}
-        categorical = by in _CATEGORICAL_COLUMNS
-        for block in self.iter_blocks(columns=[by, name]):
-            keys = block._columns[by] if categorical else block.values(by)
-            if keys.shape[0] == 0:
-                continue
-            if not categorical and keys.dtype.kind == "f" \
-                    and np.isnan(keys).any():
-                raise WorkloadError(
-                    f"cannot group by {by!r}: column has missing values")
-            values = np.asarray(block.values(name), dtype=float)
-            order = np.argsort(keys, kind="stable")
-            sorted_keys = keys[order]
-            boundaries = np.flatnonzero(np.diff(sorted_keys)) + 1
-            starts = np.concatenate([[0], boundaries])
-            ends = np.concatenate([boundaries, [keys.shape[0]]])
-            for start, end in zip(starts.tolist(), ends.tolist()):
-                key = sorted_keys[start].item()
-                parts.setdefault(key, []).append(values[order[start:end]])
-        vocab = self._vocabs[by] if categorical else None
-        grouped: Dict[object, np.ndarray] = {}
-        for key in sorted(parts):
-            values = np.concatenate(parts[key])
-            if drop_missing:
-                values = values[~np.isnan(values)]
-            grouped[vocab[key] if vocab is not None else key] = values
-        return grouped
-
     # -- vectorised column access ------------------------------------------------------
 
     def values(self, name: str) -> np.ndarray:
@@ -808,36 +507,29 @@ class TraceDataset:
         state — do not mutate it.
         """
         columns = self._columns
-        # Chunked datasets never cache full-length arrays on the dataset —
-        # the resident-bytes budget governs what stays in memory, so every
-        # values() call re-streams from the blocks (transient result).
-        cache = self._derived if self._blocks is None else None
+        cache = self._derived
         if name in columns:
             if name in _CATEGORICAL_COLUMNS:
-                cached = cache.get(name) if cache is not None else None
+                cached = cache.get(name)
                 if cached is None:
                     vocab = _string_array(self._vocabs[name])
                     if len(self._vocabs[name]) == 0:
                         cached = np.asarray([], dtype="<U1")
                     else:
                         cached = vocab[columns[name]]
-                    if cache is not None:
-                        cache[name] = cached
+                    cache[name] = cached
                 return cached
             return columns[name]
         if name in _DERIVED_COLUMNS:
-            cached = cache.get(name) if cache is not None else None
+            cached = cache.get(name)
             if cached is None:
-                cached = self._compute_derived(name)
-                if cache is not None:
-                    cache[name] = cached
+                cached = cache[name] = self._compute_derived(name)
             return cached
         raise WorkloadError(f"unknown column {name!r}")
 
     def _compute_derived(self, name: str) -> np.ndarray:
-        # Each branch touches only the stored columns it needs (matching
-        # _DERIVED_INPUTS), so block-wise scans of one derived column only
-        # materialise that column's inputs.
+        # Each branch touches only the stored columns it needs, so a lazily
+        # loaded dataset decompresses just those.
         columns = self._columns
         with np.errstate(divide="ignore", invalid="ignore"):
             if name == "queue_minutes":
@@ -926,50 +618,9 @@ class TraceDataset:
 
     def _subset(self, selector: np.ndarray,
                 metadata: Optional[Dict[str, object]] = None) -> "TraceDataset":
-        if self._blocks is not None:
-            return self._subset_blocks(selector, metadata)
         columns = {name: column[selector]
                    for name, column in self._columns.items()}
-        return TraceDataset._from_columns(columns, self._vocabs, metadata)
-
-    def _subset_blocks(self, selector: np.ndarray,
-                       metadata: Optional[Dict[str, object]] = None
-                       ) -> "TraceDataset":
-        """Block-streamed row selection; the child shares the governor.
-
-        Ascending selections (boolean masks, sorted index arrays — every
-        internal caller) stream one parent block at a time into one child
-        block each, so peak memory stays O(block).  An unsorted ``take``
-        gathers column-at-a-time instead, preserving the requested order.
-        """
-        store = self._blocks
-        selector = np.asarray(selector)
-        if selector.dtype == bool:
-            indices = np.flatnonzero(selector)
-        else:
-            indices = selector.astype(np.int64, copy=False)
-            size = len(self)
-            indices = np.where(indices < 0, indices + size, indices)
-        ascending = bool(np.all(np.diff(indices) >= 0)) \
-            if indices.size > 1 else True
-        child = BlockStore(store.governor)
-        if ascending:
-            for start, stop, block in store.iter_ranges():
-                local = indices[(indices >= start) & (indices < stop)] - start
-                if local.size == 0 and child.blocks:
-                    continue
-                arrays = block.arrays()
-                child.append_arrays(
-                    {name: np.ascontiguousarray(array[local])
-                     for name, array in arrays.items()},
-                    rows=int(local.size))
-                store.governor.enforce()
-        else:
-            gathered: Dict[str, np.ndarray] = {}
-            for name in store.names:
-                gathered[name] = store.column(name)[indices]
-            child.append_arrays(gathered, rows=int(indices.size))
-        return TraceDataset._from_block_store(child, self._vocabs, metadata)
+        return TraceDataset.from_columns(columns, self._vocabs, metadata)
 
     def where(self, mask: np.ndarray) -> "TraceDataset":
         """Vectorised row selection by boolean mask (keeps metadata)."""
@@ -1015,6 +666,31 @@ class TraceDataset:
         present = np.unique(self._columns[name])
         return [vocab[int(code)] for code in present]
 
+    def _group_slices(self, by: str
+                      ) -> Tuple[np.ndarray, List[Tuple[object, int, int]]]:
+        """One stable sort by ``by``: the row order plus each group's
+        ``(key, start, end)`` range in it, keys ascending."""
+        if len(self) == 0:
+            return np.zeros(0, dtype=np.int64), []
+        if by in _CATEGORICAL_COLUMNS:
+            keys = self._columns[by]
+            vocab: Optional[Tuple[str, ...]] = self._vocabs[by]
+        else:
+            keys = self.values(by)
+            vocab = None
+            if keys.dtype.kind == "f" and np.isnan(keys).any():
+                raise WorkloadError(
+                    f"cannot group by {by!r}: column has missing values")
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+        boundaries = (np.flatnonzero(np.diff(sorted_keys)) + 1).tolist()
+        slices: List[Tuple[object, int, int]] = []
+        for start, end in zip([0] + boundaries, boundaries + [len(self)]):
+            key = sorted_keys[start].item()
+            slices.append((vocab[key] if vocab is not None else key,
+                           start, end))
+        return order, slices
+
     def group_by(self, name: str) -> Dict[object, "TraceDataset"]:
         """Split into per-value subsets of a categorical or integer column.
 
@@ -1025,47 +701,34 @@ class TraceDataset:
         are then contiguous slices (views), so the cost is independent of
         the number of groups rather than one full-column scan per group.
         """
-        size = len(self)
-        if size == 0:
-            return {}
-        if name in _CATEGORICAL_COLUMNS:
-            keys = self._columns[name]
-            vocab = self._vocabs[name]
-
-            def decode(key: object) -> object:
-                return vocab[key]
-        else:
-            keys = self.values(name)
-            if keys.dtype.kind == "f" and np.isnan(keys).any():
-                raise WorkloadError(
-                    f"cannot group by {name!r}: column has missing values")
-
-            def decode(key: object) -> object:
-                return key
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-        boundaries = np.flatnonzero(np.diff(sorted_keys)) + 1
-        starts = np.concatenate([[0], boundaries])
-        ends = np.concatenate([boundaries, [size]])
-        if self._blocks is not None:
-            # Chunked path: each group is a block-streamed ascending
-            # selection (stable argsort keeps within-group indices sorted),
-            # so no more than one parent block's columns are resident at a
-            # time and the group datasets share the governor's budget.
-            groups_chunked: Dict[object, "TraceDataset"] = {}
-            for start, end in zip(starts.tolist(), ends.tolist()):
-                key = decode(sorted_keys[start].item())
-                groups_chunked[key] = self._subset_blocks(order[start:end])
-            return groups_chunked
+        order, slices = self._group_slices(name)
         sorted_columns = {column_name: column[order]
                           for column_name, column in self._columns.items()}
-        groups: Dict[object, "TraceDataset"] = {}
-        for start, end in zip(starts.tolist(), ends.tolist()):
-            key = decode(sorted_keys[start].item())
-            columns = {column_name: column[start:end]
-                       for column_name, column in sorted_columns.items()}
-            groups[key] = TraceDataset._from_columns(columns, self._vocabs)
-        return groups
+        return {
+            key: TraceDataset.from_columns(
+                {column_name: column[start:end]
+                 for column_name, column in sorted_columns.items()},
+                self._vocabs)
+            for key, start, end in slices
+        }
+
+    def grouped_values(self, by: str, name: str,
+                       drop_missing: bool = True
+                       ) -> Dict[object, np.ndarray]:
+        """Per-group float values of one column.
+
+        Equivalent to ``{key: subset.numeric_column(name) for key, subset
+        in trace.group_by(by).items()}`` (same keys, same per-group order,
+        same missing-key error; ``drop_missing=False`` keeps NaNs) but sorts
+        only the two columns involved and never builds a per-group trace.
+        """
+        order, slices = self._group_slices(by)
+        values = np.asarray(self.values(name), dtype=float)[order]
+        grouped: Dict[object, np.ndarray] = {}
+        for key, start, end in slices:
+            group = values[start:end]
+            grouped[key] = group[~np.isnan(group)] if drop_missing else group
+        return grouped
 
     def group_by_machine(self) -> Dict[str, "TraceDataset"]:
         return self.group_by("machine")
@@ -1133,10 +796,7 @@ class TraceDataset:
 
         The member order, timestamps and compression are fixed, so the same
         trace always produces the same bytes — a requirement of the on-disk
-        trace cache's byte-stability guarantee.  Members are written one at
-        a time, with each column materialised on demand and released after
-        writing, so dumping a chunked dataset needs at most one full column
-        (not the whole trace) resident.
+        trace cache's byte-stability guarantee.
         """
         members = sorted(
             [f"col__{name}" for name in self._columns.keys()]
@@ -1210,89 +870,10 @@ class TraceDataset:
         if missing:
             raise KeyError(
                 f"trace npz {path} is missing columns {missing}")
-        dataset = cls._from_columns(_LazyNpzColumns(path, names), vocabs,
-                                    header.get("metadata", {}))
+        dataset = cls.from_columns(_LazyNpzColumns(path, names), vocabs,
+                                   header.get("metadata", {}))
         if isinstance(header.get("rows"), int):
             dataset._row_count = int(header["rows"])
-        return dataset
-
-    # -- block manifests ---------------------------------------------------------------
-
-    def to_block_manifest(self, directory: Union[str, Path]) -> Path:
-        """Write the trace as a block-manifest directory.
-
-        Layout: ``manifest.json`` (schema versions, rows, vocabularies,
-        metadata, per-block file names and row counts) plus one versioned
-        ``block-NNNNNN.npz`` file per block.  Blocks are streamed one at a
-        time, so an out-of-core trace is persisted without ever being fully
-        resident.  The cache stores budget-exceeding traces this way.
-        """
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        entries: List[Dict[str, object]] = []
-        for index, block in enumerate(self.iter_blocks()):
-            name = f"block-{index:06d}.npz"
-            arrays = {column: block._columns[column]
-                      for column in block._columns.keys()}
-            write_block_file(directory / name, arrays, len(block))
-            entries.append({"file": name, "rows": len(block)})
-        manifest = {
-            "schema": BLOCK_SCHEMA_VERSION,
-            "npz_schema": NPZ_SCHEMA_VERSION,
-            "rows": len(self),
-            "metadata": self.metadata,
-            "vocabs": {name: list(vocab)
-                       for name, vocab in self._vocabs.items()},
-            "columns": list(_STORED_COLUMNS),
-            "blocks": entries,
-        }
-        (directory / MANIFEST_NAME).write_text(
-            json.dumps(manifest, indent=2, sort_keys=True))
-        return directory
-
-    @classmethod
-    def from_block_manifest(cls, directory: Union[str, Path],
-                            budget: Optional[int] = None,
-                            use_default_budget: bool = True,
-                            ) -> "TraceDataset":
-        """Load a block-manifest directory written by
-        :meth:`to_block_manifest` without materialising any block.
-
-        Every block starts spilled, backed by its manifest file; the
-        governor's budget (explicit ``budget``, else the process-wide
-        default) decides how many blocks may be resident at once.  Raises
-        :class:`~repro.core.exceptions.TraceSchemaError` on a schema
-        mismatch.
-        """
-        directory = Path(directory)
-        manifest = json.loads((directory / MANIFEST_NAME).read_text())
-        found = manifest.get("schema")
-        if found != BLOCK_SCHEMA_VERSION:
-            raise TraceSchemaError(
-                f"trace manifest {directory} was written with block schema "
-                f"{found!r} but this version reads schema "
-                f"{BLOCK_SCHEMA_VERSION}; regenerate the trace (or delete "
-                f"the entry) to proceed")
-        if budget is None and use_default_budget:
-            budget = get_memory_budget()
-        governor = ResidencyGovernor(budget)
-        names = tuple(manifest.get("columns", _STORED_COLUMNS))
-        store = BlockStore(governor)
-        for entry in manifest["blocks"]:
-            path = directory / str(entry["file"])
-            store.append_block(ColumnBlock(
-                governor, path=path, rows=int(entry["rows"]), names=names,
-                nbytes=0))
-        vocabs = {name: tuple(vocab)
-                  for name, vocab in manifest.get("vocabs", {}).items()}
-        if not store.blocks:
-            columns, empty_vocabs = columns_from_records([])
-            empty_vocabs.update(vocabs)
-            return cls._from_columns(columns, empty_vocabs,
-                                     manifest.get("metadata", {}))
-        dataset = cls._from_block_store(store, vocabs,
-                                        manifest.get("metadata", {}))
-        dataset._row_count = int(manifest.get("rows", store.rows))
         return dataset
 
     # -- Arrow / Parquet export --------------------------------------------------------

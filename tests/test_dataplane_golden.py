@@ -6,6 +6,8 @@ the row-at-a-time reference path (`tests/rowpath.py`) for the same
 seed — same random draws, same floats, same records, same figure data.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -173,7 +175,7 @@ class TestDatasetAndCacheEquivalence:
     def test_stray_json_entry_is_a_miss(self, golden_records, config,
                                         tmp_path):
         """A ``trace-<key>.json`` beside the cache entries is not one: the
-        cache reads only npz and block-manifest entries."""
+        cache reads only npz entries."""
         columnar, _ = golden_records
         trace = TraceDataset.from_records(columnar,
                                           metadata={"seed": CONFIG["seed"]})
@@ -189,6 +191,36 @@ class TestDatasetAndCacheEquivalence:
         assert cache.entries() == []
         # The file itself is still a readable trace, explicitly.
         assert TraceDataset.from_json(stray).records == columnar
+
+    def test_stray_block_manifest_is_a_miss(self, golden_records, config,
+                                            tmp_path):
+        """A ``trace-<key>.blocks/`` directory left by an older version
+        (a ``manifest.json`` plus block files) is not an entry: it misses,
+        is not listed, and a later put writes the npz entry beside it."""
+        columnar, _ = golden_records
+        trace = TraceDataset.from_records(columnar,
+                                          metadata={"seed": CONFIG["seed"]})
+        cache = TraceCache(tmp_path / "cache")
+        key = config_fingerprint(config)
+        stray = cache.root / f"trace-{key}.blocks"
+        stray.mkdir(parents=True)
+        (stray / "manifest.json").write_text(json.dumps(
+            {"schema": 1, "rows": len(trace),
+             "blocks": [{"file": "block-000000.npz", "rows": len(trace)}]}))
+        trace.to_npz(stray / "block-000000.npz")
+        assert cache.existing_path_for(key) is None
+        assert cache.get(key) is None
+        assert cache.get_bytes(key) is None
+        assert cache.stats()["misses"] == 2
+        assert cache.entries() == []
+        assert cache.prune(0) == []
+        assert stray.is_dir()
+
+        path = cache.put(key, trace)
+        assert path == cache.path_for(key)
+        assert cache.get(key).records == columnar
+        assert cache.get_bytes(key) == path.read_bytes()
+        assert [entry.path for entry in cache.entries()] == [path]
 
     def test_trace_cache_treats_corrupt_entries_as_misses(self, config,
                                                           tmp_path):

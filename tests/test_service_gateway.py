@@ -250,7 +250,6 @@ class TestHttpErrors:
         client.submit({"scenarios": ["baseline"], "compare": False})
         second = parse_prometheus_text(client.metrics())
         for family in ("repro_cache_misses_total",
-                       "repro_residency_spills_total",
                        "repro_pool_tasks_total",
                        "repro_jobs_submitted_total",
                        "repro_gateway_requests_total"):

@@ -133,6 +133,26 @@ class TestGroupsAndCounts:
         assert athens.machines() == ["ibmq_athens"]
         assert set(athens.status_counts()) == {"DONE", "CANCELLED"}
 
+    @pytest.mark.parametrize("by", ["machine", "month_index"])
+    @pytest.mark.parametrize("drop_missing", [True, False])
+    def test_grouped_values_matches_group_by(self, mixed_trace, by,
+                                             drop_missing):
+        grouped = mixed_trace.grouped_values(by, "queue_minutes",
+                                             drop_missing=drop_missing)
+        expected = {key: subset.numeric_column("queue_minutes",
+                                               drop_none=drop_missing)
+                    for key, subset in mixed_trace.group_by(by).items()}
+        assert list(grouped) == list(expected)
+        for key, values in expected.items():
+            np.testing.assert_array_equal(grouped[key], values)
+        assert grouped[list(grouped)[0]].dtype == np.float64
+
+    def test_grouped_values_missing_key_raises(self, mixed_trace):
+        with pytest.raises(WorkloadError, match="missing values"):
+            mixed_trace.group_by("queue_seconds")
+        with pytest.raises(WorkloadError, match="missing values"):
+            mixed_trace.grouped_values("queue_seconds", "batch_size")
+
     def test_value_counts(self, mixed_trace):
         assert mixed_trace.value_counts("machine") == {
             "ibmq_athens": 2, "ibmq_rome": 2}
