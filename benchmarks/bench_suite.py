@@ -68,14 +68,21 @@ TARGET_SPEEDUP = 1.3
 
 
 def _printer(tag, quiet):
-    return None if quiet else (
-        lambda message: print(f"  [{tag}] {message}"))
+    """An ``on_event`` hook printing study-level events (None if quiet)."""
+    if quiet:
+        return None
+
+    def on_event(event):
+        if event.kind != "shard-done":
+            print(f"  [{tag}] {event.kind} {event.key or ''}".rstrip())
+
+    return on_event
 
 
 def run_suite_mode(config, scenarios, workers, quiet):
     """The shared-pool scheduler; returns ({name: trace}, seconds)."""
     engine = ScenarioEngine(config, workers=workers,
-                            progress=_printer("suite", quiet))
+                            on_event=_printer("suite", quiet))
     started = time.perf_counter()
     suite = engine.run(scenarios, use_cache=False)
     seconds = time.perf_counter() - started
@@ -93,7 +100,7 @@ def run_independent(config, scenarios, workers, quiet):
         if key not in traces_by_key:
             traces_by_key[key] = run_study(
                 config=expanded, workers=workers, use_cache=False,
-                progress=_printer("solo", quiet)).trace
+                on_event=_printer("solo", quiet)).trace
         traces[scenario.name] = traces_by_key[key]
     return traces, time.perf_counter() - started
 

@@ -46,6 +46,14 @@ BACKLOG_SWEEP = Scenario(
 )
 
 
+def print_event(event) -> None:
+    """Print the study-level events of the engine's progress stream."""
+    if event.kind != "shard-done":
+        study = f" {event.key}" if event.key else ""
+        print(f"  [engine] {event.kind}{study} "
+              f"({event.completed}/{event.total} tasks)")
+
+
 def main() -> None:
     config = TraceGeneratorConfig(
         total_jobs=env_int("REPRO_BENCH_JOBS", 600),
@@ -60,7 +68,7 @@ def main() -> None:
     engine = ScenarioEngine(
         config,
         cache=os.environ.get("REPRO_CACHE_DIR", ".repro-cache"),
-        progress=lambda message: print(f"  [engine] {message}"),
+        on_event=print_event,
     )
     suite = engine.run(scenarios)
 

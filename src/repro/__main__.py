@@ -85,13 +85,9 @@ def _add_generation_arguments(parser: argparse.ArgumentParser) -> None:
         help="worker processes (default: one per core, capped at 16)")
     parser.add_argument(
         "--shards", type=int, default=None,
-        help="synthesis shards (default: equal to --workers; the result "
+        help="synthesis shards per study, and transpile shards per "
+             "rank-mode study (default: equal to --workers; the result "
              "never depends on this, only the load balance does)")
-    parser.add_argument(
-        "--transpile-workers", type=int, default=None,
-        help="transpile shards for rank-mode policy scenarios (default: "
-             "equal to --workers; like --shards, a load-balance knob the "
-             "result never depends on)")
     parser.add_argument(
         "--cache-dir", default=os.environ.get("REPRO_CACHE_DIR"),
         help="directory of the on-disk trace cache (default: "
@@ -116,10 +112,41 @@ def _add_generation_arguments(parser: argparse.ArgumentParser) -> None:
                         help="suppress progress output")
 
 
-def _progress(quiet: bool):
-    if quiet:
+def _event_printer(args: argparse.Namespace):
+    """The CLI's ``on_event`` hook: study-level progress lines on stderr,
+    per-shard lines (completed/total plus a wall-clock ETA) only under
+    ``--progress``, and nothing under ``--quiet``."""
+    if args.quiet:
         return None
-    return lambda message: print(f"[repro] {message}", file=sys.stderr)
+    shard_lines = getattr(args, "shard_progress", False)
+
+    def printer(event) -> None:
+        detail = event.detail
+        if event.kind == "queued":
+            line = (f"queued {detail['submissions']} submissions across "
+                    f"{detail['shards']} shards for study {event.key}")
+        elif event.kind == "cache-hit":
+            line = f"cache hit for study {event.key} ({detail['jobs']} jobs)"
+        elif event.kind == "rank-table":
+            line = (f"study {event.key} ranks over {detail['entries']} "
+                    f"class transpiles ({detail['cached']} cached)")
+        elif event.kind == "shard-done" and shard_lines:
+            eta = (f", eta {event.eta_seconds:.1f}s"
+                   if event.eta_seconds is not None else "")
+            line = (f"{event.completed}/{event.total} shards "
+                    f"({event.phase}{eta})")
+        elif event.kind == "study-done":
+            line = (f"study {event.key} done ({detail['jobs']} jobs, "
+                    f"{detail['seconds']}s)")
+        elif event.kind == "suite-done":
+            line = (f"suite done: {detail['studies']} studies, "
+                    f"{detail['cache_hits']} cache hits in "
+                    f"{event.elapsed_seconds:.1f}s")
+        else:
+            return
+        print(f"[repro] {line}", file=sys.stderr)
+
+    return printer
 
 
 def _print_phase_report(label: str, timings: Dict[str, float]) -> None:
@@ -129,7 +156,7 @@ def _print_phase_report(label: str, timings: Dict[str, float]) -> None:
     print(f"[repro] phases[{label}]: {parts}", file=sys.stderr)
 
 
-def _generate(args: argparse.Namespace, quiet: bool = False) -> StudyResult:
+def _generate(args: argparse.Namespace) -> StudyResult:
     config = TraceGeneratorConfig(
         total_jobs=args.jobs, months=args.months, seed=args.seed)
     result = run_study(
@@ -137,9 +164,8 @@ def _generate(args: argparse.Namespace, quiet: bool = False) -> StudyResult:
         workers=args.workers,
         num_shards=args.shards,
         cache_dir=None if args.no_cache else args.cache_dir,
-        progress=_progress(quiet),
         use_cache=not args.no_cache,
-        transpile_workers=getattr(args, "transpile_workers", None),
+        on_event=_event_printer(args),
     )
     if getattr(args, "profile_phases", False):
         _print_phase_report("study", result.timings)
@@ -156,7 +182,7 @@ def _save_trace(trace: TraceDataset, output: str) -> None:
 
 
 def cmd_run_study(args: argparse.Namespace) -> int:
-    result = _generate(args, quiet=args.quiet)
+    result = _generate(args)
     print(json.dumps(result.summary(), indent=2))
     if args.output:
         _save_trace(result.trace, args.output)
@@ -170,7 +196,7 @@ def _load_or_generate_trace(args: argparse.Namespace):
         seed = int(trace.metadata.get("seed", args.seed))
         fleet = TraceGeneratorConfig(seed=seed).build_fleet()
         return trace, fleet
-    result = _generate(args, quiet=args.quiet)
+    result = _generate(args)
     return result.trace, result.config.build_fleet()
 
 
@@ -253,7 +279,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         started = time.perf_counter()
         result = run_study(
             config=config, workers=workers, num_shards=args.shards,
-            use_cache=False, progress=_progress(args.quiet))
+            use_cache=False, on_event=_event_printer(args))
         elapsed = time.perf_counter() - started
         runs[workers] = {
             "seconds": round(elapsed, 3),
@@ -390,7 +416,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     tracer.enable()
     try:
         run_study(config=config, workers=best, num_shards=args.shards,
-                  use_cache=False, progress=None)
+                  use_cache=False)
     finally:
         if not tracer_was_enabled:
             tracer.disable()
@@ -450,7 +476,7 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
              "(default: %(default)s)")
     parser.add_argument(
         "--progress", action="store_true", dest="shard_progress",
-        help="print shard-level progress (completed/total plus a "
+        help="also print shard-level progress (completed/total plus a "
              "wall-clock ETA) while the suite runs")
 
 
@@ -509,29 +535,6 @@ def _list_scenarios(catalog) -> int:
     return 0
 
 
-def _event_printer(args: argparse.Namespace):
-    """The on_event hook behind ``--progress``: shard counts plus ETA."""
-    if not getattr(args, "shard_progress", False):
-        return None
-
-    def printer(event) -> None:
-        if event.kind == "shard-done":
-            eta = (f", eta {event.eta_seconds:.1f}s"
-                   if event.eta_seconds is not None else "")
-            print(f"[repro] {event.completed}/{event.total} shards "
-                  f"({event.phase}{eta})", file=sys.stderr)
-        elif event.kind == "study-done":
-            print(f"[repro] study {event.key} done "
-                  f"({event.detail.get('jobs')} jobs, "
-                  f"{event.detail.get('seconds')}s)", file=sys.stderr)
-        elif event.kind == "suite-done":
-            print(f"[repro] suite done: {event.detail.get('studies')} "
-                  f"studies, {event.detail.get('cache_hits')} cache hits "
-                  f"in {event.elapsed_seconds:.1f}s", file=sys.stderr)
-
-    return printer
-
-
 def _run_suite(args: argparse.Namespace):
     base, scenarios, _ = _resolve_suite(args)
     scenario_engine = ScenarioEngine(
@@ -539,9 +542,7 @@ def _run_suite(args: argparse.Namespace):
         workers=args.workers,
         num_shards=args.shards,
         cache=_scenario_cache_dir(args),
-        progress=_progress(args.quiet),
         on_event=_event_printer(args),
-        transpile_workers=getattr(args, "transpile_workers", None),
     )
     suite = scenario_engine.run(scenarios, use_cache=not args.no_cache)
     if getattr(args, "profile_phases", False):

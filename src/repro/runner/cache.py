@@ -121,6 +121,10 @@ class TraceCache:
         self._evictions = registry.instance_counter(
             "repro_cache_evictions_total",
             help="Trace-cache entries evicted by evict() or prune().")
+        self._corrupt = registry.counter(
+            "repro_cache_corrupt_total",
+            help="Trace-cache entries found corrupt or truncated and "
+                 "regenerated as a miss (absent entries not counted).")
 
     @property
     def hits(self) -> int:
@@ -159,7 +163,9 @@ class TraceCache:
 
         A missing, corrupt or unreadable entry (e.g. hand-edited, or
         truncated mid-write) counts as a miss and will be overwritten by the
-        regenerated trace rather than poisoning every later run.  A
+        regenerated trace rather than poisoning every later run; an entry
+        that exists but cannot be read also counts in
+        ``repro_cache_corrupt_total``.  A
         *schema-version* mismatch, however, raises
         :class:`~repro.core.exceptions.TraceSchemaError` with the expected
         and found versions and the cache path — an entry written under an
@@ -181,6 +187,8 @@ class TraceCache:
                     f"fresh directory) to regenerate it") from exc
             except (ValueError, TypeError, KeyError, OSError,
                     zipfile.BadZipFile):
+                if path.exists():
+                    self._corrupt.inc()
                 self.misses += 1
                 return None
             found = trace.metadata.get("trace_schema")

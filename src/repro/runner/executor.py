@@ -1,6 +1,6 @@
 """The parallel sharded study runner and the suite scheduler.
 
-:class:`StudyRunner` turns one
+:func:`run_study` turns one
 :class:`~repro.workloads.generator.TraceGeneratorConfig` into a merged
 :class:`~repro.workloads.trace.TraceDataset` using a pool of worker
 processes, in two embarrassingly parallel stages:
@@ -14,8 +14,9 @@ processes, in two embarrassingly parallel stages:
    Every machine draws from its own spawned streams, so the merged
    per-machine dynamics equal the single-service run exactly.
 
-:func:`run_suite` generalises the same pipeline to *many* studies on one
-:class:`~repro.runner.pool.SharedWorkerPool`.  Scheduling is event-driven:
+:func:`run_suite` runs the same pipeline for *many* studies on one
+:class:`~repro.runner.pool.SharedWorkerPool` (``run_study`` is a suite of
+one).  Scheduling is event-driven:
 every study's synthesis shards are queued up front, and a completion
 callback on each shard queues the study's machine-group simulations the
 moment its *last* synthesis shard lands — no study waits behind another
@@ -25,11 +26,10 @@ phase barrier.  Per-study worker state is keyed by config fingerprint (see
 config: same seed in, byte-identical trace out, no matter how the work was
 partitioned, which studies ran alongside, or in what order shards landed.
 
-Progress is observable two ways: the legacy ``progress`` string callback,
-and ``on_event``, a structured :class:`SuiteEvent` stream (shards completed
-/ total, wall-clock ETA, per-study completions) that the CLI's
-``--progress`` flag prints and the study-service gateway forwards to its
-NDJSON job streams.  Events may fire on the pool's result-handler thread;
+Progress is observable through ``on_event``, a structured
+:class:`SuiteEvent` stream (shards completed / total, wall-clock ETA,
+per-study completions) that the CLI prints on stderr and the study-service
+gateway forwards to its NDJSON job streams.  Events may fire on the pool's result-handler thread;
 handlers must be quick, thread-safe and must never raise.
 
 Simulation workers return their rows already columnar
@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import threading
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -81,13 +82,9 @@ from repro.workloads.trace import (
     merge_shard_columns,
 )
 
-ProgressCallback = Callable[[str], None]
-
 __all__ = [
     "EventCallback",
-    "ProgressCallback",
     "StudyResult",
-    "StudyRunner",
     "SuiteCancelled",
     "SuiteEvent",
     "default_workers",
@@ -195,7 +192,7 @@ class StudyResult:
     """The handle every study execution returns: a dataset reference, its
     content fingerprint, and how it was produced.
 
-    :func:`run_study`, :class:`StudyRunner.run` and each scenario of
+    :func:`run_study`, :func:`run_suite` and each scenario of
     :func:`~repro.scenarios.engine.run_scenarios` all surface this one
     shape — consumers hold the handle (``dataset`` / ``fingerprint`` /
     ``metadata``) instead of bare datasets and loose keys.
@@ -259,6 +256,9 @@ class StudyResult:
         }
 
 
+_PHASES = ("plan", "transpile", "synthesis", "simulation", "merge")
+
+
 @dataclass
 class _PendingStudy:
     """Book-keeping of one cache-missed study flowing through the pool."""
@@ -275,14 +275,14 @@ class _PendingStudy:
     synth_handles: List[object] = field(default_factory=list)
     sim_handles: List[object] = field(default_factory=list)
     groups: List[MachineGroup] = field(default_factory=list)
-    synthesis_seconds: float = 0.0
-    simulation_seconds: float = 0.0
     #: the class summaries shipped to every synthesis shard (rank mode)
     rank_table: Optional[ClassRankTable] = None
     transpile_shards: List[TranspileShard] = field(default_factory=list)
     transpile_handles: List[object] = field(default_factory=list)
     #: summaries served from the on-disk transpile cache during planning
     transpile_warm: List[TranspileSummary] = field(default_factory=list)
+    #: pairs the transpile cache missed — sharded by the schedule unit
+    transpile_cold: List[TranspilePair] = field(default_factory=list)
     #: per-shard computed summaries, filled by completion callbacks in
     #: shard order (the order that makes the merged table deterministic)
     transpile_shard_summaries: List[Optional[List[TranspileSummary]]] = \
@@ -299,9 +299,45 @@ class _PendingStudy:
     #: the study's simulations
     shards_remaining: int = 0
     #: an exception raised inside a completion callback (re-raised by the
-    #: collection loop — callbacks themselves must never raise)
+    #: collect unit — callbacks themselves must never raise)
     callback_error: Optional[BaseException] = None
     lock: threading.Lock = field(default_factory=threading.Lock)
+
+    def raise_callback_error(self) -> None:
+        if self.callback_error is not None:
+            raise WorkloadError(
+                f"scheduling study {self.key} failed: "
+                f"{self.callback_error}") from self.callback_error
+
+
+@dataclass
+class _SuiteRun:
+    """What one :func:`run_suite` call threads through its units."""
+
+    pool: SharedWorkerPool
+    epoch: int
+    tracker: _SuiteTracker
+    num_shards: int
+    #: the trace cache, or None when the call does not use one
+    cache: Optional[TraceCache]
+    transpile_cache: Optional[TranspileCache]
+    lazy_cache: bool
+
+    def result(self, key: str, config: TraceGeneratorConfig,
+               trace: TraceDataset, timings: Dict[str, float],
+               cache_path: Optional[Path],
+               study: Optional[_PendingStudy] = None) -> StudyResult:
+        """The one :class:`StudyResult` constructor (``study`` is None
+        for a cache hit)."""
+        hit = study is None
+        return StudyResult(
+            trace=trace, config=config, workers=self.pool.workers,
+            num_shards=self.num_shards, cache_key=key, cache_hit=hit,
+            cache_path=cache_path, timings=timings,
+            shard_sizes=[] if hit else [len(s) for s in study.shards],
+            group_sizes=[] if hit else [g.expected_jobs
+                                        for g in study.groups],
+            transpile={} if hit else dict(study.transpile_stats))
 
 
 def _probe_transpile_cache(
@@ -337,29 +373,26 @@ def _probe_transpile_cache(
     return warm, cold
 
 
-def _queue_synthesis(pool: SharedWorkerPool, epoch: int,
-                     study: _PendingStudy, tracker: _SuiteTracker) -> None:
+def _queue_synthesis(run: _SuiteRun, study: _PendingStudy) -> None:
     """Queue a study's synthesis shards (directly, or as the rank-mode
     transpile phase's completion step — whichever thread that lands on)."""
-    tracker.add_tasks(len(study.shards))
-    tracker.emit("queued", key=study.key, shards=len(study.shards),
-                 submissions=study.num_submissions)
+    run.tracker.add_tasks(len(study.shards))
+    run.tracker.emit("queued", key=study.key, shards=len(study.shards),
+                     submissions=study.num_submissions)
     study.synth_handles = [
-        pool.submit_synthesis(
-            epoch, study.key, study.config, shard,
-            callback=_shard_callback(pool, epoch, study, index, tracker),
+        run.pool.submit_synthesis(
+            run.epoch, study.key, study.config, shard,
+            callback=_shard_callback(run, study, index),
             rank_table=study.rank_table)
         for index, shard in enumerate(study.shards)
     ]
 
 
-def _finish_transpile(pool: SharedWorkerPool, epoch: int,
-                      study: _PendingStudy, tracker: _SuiteTracker,
-                      transpile_cache: Optional[TranspileCache]) -> None:
+def _finish_transpile(run: _SuiteRun, study: _PendingStudy) -> None:
     """Merge a rank study's class summaries and queue its synthesis.
 
     Runs when the last transpile shard lands (or straight from the
-    scheduling loop when every pair was warm).  The merged table is sorted
+    schedule unit when every pair was warm).  The merged table is sorted
     by (family, width, machine), so it is identical for any shard count,
     completion order, or warm/cold split — which is what keeps cached and
     uncached rankings byte-equal.
@@ -367,9 +400,9 @@ def _finish_transpile(pool: SharedWorkerPool, epoch: int,
     computed = [summary
                 for shard_summaries in study.transpile_shard_summaries
                 for summary in shard_summaries]
-    if transpile_cache is not None:
+    if run.transpile_cache is not None:
         for summary in computed:
-            transpile_cache.put(
+            run.transpile_cache.put(
                 transpile_cache_key(summary.class_fingerprint,
                                     summary.backend_fingerprint,
                                     summary.level, summary.seed),
@@ -399,16 +432,13 @@ def _finish_transpile(pool: SharedWorkerPool, epoch: int,
         objective=scenario.ranking_objective,
         level=scenario.ranking_level,
         summaries=summaries)
-    tracker.emit("rank-table", key=study.key, phase="transpile",
-                 entries=len(summaries), computed=len(computed),
-                 cached=len(study.transpile_warm))
-    _queue_synthesis(pool, epoch, study, tracker)
+    run.tracker.emit("rank-table", key=study.key, phase="transpile",
+                     entries=len(summaries), computed=len(computed),
+                     cached=len(study.transpile_warm))
+    _queue_synthesis(run, study)
 
 
-def _transpile_callback(pool: SharedWorkerPool, epoch: int,
-                        study: _PendingStudy, index: int,
-                        tracker: _SuiteTracker,
-                        transpile_cache: Optional[TranspileCache]):
+def _transpile_callback(run: _SuiteRun, study: _PendingStudy, index: int):
     """The completion callback of one transpile shard."""
 
     def _on_transpile_done(summaries):
@@ -417,19 +447,17 @@ def _transpile_callback(pool: SharedWorkerPool, epoch: int,
                 study.transpile_shard_summaries[index] = summaries
                 study.transpile_remaining -= 1
                 is_last = study.transpile_remaining == 0
-            tracker.emit("shard-done", key=study.key, phase="transpile",
-                         task_done=True, pairs=len(summaries))
+            run.tracker.emit("shard-done", key=study.key, phase="transpile",
+                             task_done=True, pairs=len(summaries))
             if is_last:
-                _finish_transpile(pool, epoch, study, tracker,
-                                  transpile_cache)
+                _finish_transpile(run, study)
         except BaseException as exc:  # surface on the collection thread
             study.callback_error = exc
 
     return _on_transpile_done
 
 
-def _queue_simulations(pool: SharedWorkerPool, epoch: int,
-                       study: _PendingStudy, tracker: _SuiteTracker) -> None:
+def _queue_simulations(run: _SuiteRun, study: _PendingStudy) -> None:
     """Queue a study's machine-group simulations (last-shard callback).
 
     Runs on whichever thread completed the study's final synthesis shard.
@@ -443,18 +471,18 @@ def _queue_simulations(pool: SharedWorkerPool, epoch: int,
     for job in jobs:
         job_counts[job.backend_name] = job_counts.get(job.backend_name, 0) + 1
         jobs_by_machine.setdefault(job.backend_name, []).append(job)
-    study.groups = plan_machine_groups(job_counts, pool.workers)
-    tracker.add_tasks(len(study.groups))
-    tracker.emit("sims-queued", key=study.key, phase="simulation",
-                 jobs=len(jobs), groups=len(study.groups))
+    study.groups = plan_machine_groups(job_counts, run.pool.workers)
+    run.tracker.add_tasks(len(study.groups))
+    run.tracker.emit("sims-queued", key=study.key, phase="simulation",
+                     jobs=len(jobs), groups=len(study.groups))
 
     def _on_group_done(_records, key=study.key):
-        tracker.emit("shard-done", key=key, phase="simulation",
-                     task_done=True)
+        run.tracker.emit("shard-done", key=key, phase="simulation",
+                         task_done=True)
 
     study.sim_handles = [
-        pool.submit_simulation(
-            epoch, study.key, study.config, group,
+        run.pool.submit_simulation(
+            run.epoch, study.key, study.config, group,
             [job for name in group.machines
              for job in jobs_by_machine[name]],
             callback=_on_group_done)
@@ -462,8 +490,7 @@ def _queue_simulations(pool: SharedWorkerPool, epoch: int,
     ]
 
 
-def _shard_callback(pool: SharedWorkerPool, epoch: int, study: _PendingStudy,
-                    index: int, tracker: _SuiteTracker):
+def _shard_callback(run: _SuiteRun, study: _PendingStudy, index: int):
     """The completion callback of one synthesis shard."""
 
     def _on_shard_done(jobs):
@@ -472,51 +499,200 @@ def _shard_callback(pool: SharedWorkerPool, epoch: int, study: _PendingStudy,
                 study.shard_jobs[index] = jobs
                 study.shards_remaining -= 1
                 is_last = study.shards_remaining == 0
-            tracker.emit("shard-done", key=study.key, phase="synthesis",
-                         task_done=True, jobs=len(jobs))
+            run.tracker.emit("shard-done", key=study.key, phase="synthesis",
+                             task_done=True, jobs=len(jobs))
             if is_last:
-                _queue_simulations(pool, epoch, study, tracker)
+                _queue_simulations(run, study)
         except BaseException as exc:  # surface on the collection thread
             study.callback_error = exc
 
     return _on_shard_done
 
 
+def _plan_study(run: _SuiteRun, key: str, config: TraceGeneratorConfig
+                ) -> Union[StudyResult, _PendingStudy]:
+    """Plan unit: serve a cache hit, or plan a miss's synthesis shards
+    (and, in rank mode, probe its equivalence-class transpiles against the
+    transpile cache)."""
+    started = time.perf_counter()
+    tracer = get_tracer()
+    cached = (run.cache.get(key, lazy=run.lazy_cache)
+              if run.cache is not None else None)
+    if cached is not None:
+        run.tracker.emit("cache-hit", key=key, jobs=len(cached))
+        get_registry().counter("repro_runner_studies_total",
+                               outcome="cache-hit").inc()
+        # A cache hit still reports every phase — at zero cost — so
+        # suite-level --profile-phases output stays uniform; the
+        # zero-duration synthesis span marks the skipped work in the trace
+        # view.
+        now = time.perf_counter()
+        tracer.instant("study.cache-hit", study=key, jobs=len(cached))
+        for phase in _PHASES:
+            tracer.record_span(f"study.{phase}", start=now, duration=0.0,
+                               args={"study": key, "cache_hit": True})
+        timings = dict.fromkeys(_PHASES, 0.0)
+        timings["total"] = time.perf_counter() - started
+        return run.result(key, config, cached, timings,
+                          run.cache.existing_path_for(key))
+    get_registry().counter("repro_runner_studies_total",
+                           outcome="simulated").inc()
+    with tracer.timed("study.plan", study=key) as plan_timer:
+        submissions = plan_submissions(config)
+        shards = plan_shards(config, submissions, run.num_shards)
+    study = _PendingStudy(
+        key=key, config=config, shards=shards, started=started,
+        plan_seconds=plan_timer.seconds,
+        rank_mode=(config.scenario is not None
+                   and config.scenario.ranking_objective is not None),
+        num_submissions=len(submissions),
+        shard_jobs=[None] * len(shards),
+        shards_remaining=len(shards))
+    if study.rank_mode:
+        with tracer.timed("study.transpile-plan", study=key) as probe_timer:
+            fleet = config.build_fleet()
+            pairs, class_stats = plan_transpile_classes(config, fleet)
+            study.transpile_warm, study.transpile_cold = \
+                _probe_transpile_cache(pairs, fleet, config,
+                                       run.transpile_cache)
+        study.transpile_seconds = probe_timer.seconds
+        study.transpile_stats = {**class_stats,
+                                 "warm": len(study.transpile_warm),
+                                 "cold": len(study.transpile_cold)}
+    return study
+
+
+def _schedule_study(run: _SuiteRun, study: _PendingStudy) -> None:
+    """Schedule unit: queue a planned study's first pool tasks.
+
+    A rank-mode study queues its cold transpile shards; the last one's
+    completion callback (or this call, when nothing is cold) builds the
+    rank table and queues synthesis.  With an inline pool each submit runs
+    — and chains the study's later phases — synchronously right here.
+    """
+    if not study.rank_mode:
+        _queue_synthesis(run, study)
+        return
+    if not study.transpile_cold:
+        _finish_transpile(run, study)
+        return
+    study.transpile_shards = plan_transpile_shards(study.transpile_cold,
+                                                   run.num_shards)
+    study.transpile_shard_summaries = [None] * len(study.transpile_shards)
+    study.transpile_remaining = len(study.transpile_shards)
+    run.tracker.add_tasks(len(study.transpile_shards))
+    run.tracker.emit("transpile-queued", key=study.key, phase="transpile",
+                     shards=len(study.transpile_shards),
+                     pairs=len(study.transpile_cold),
+                     cached=len(study.transpile_warm))
+    # Timed because an inline (workers == 1) pool runs the shards
+    # synchronously right here — the collect unit's wait would otherwise
+    # report a rank study's dominant cost as zero.
+    with get_tracer().timed("study.transpile-queue",
+                            study=study.key) as submit_timer:
+        study.transpile_handles = [
+            run.pool.submit_transpile(
+                run.epoch, study.key, study.config, shard,
+                callback=_transpile_callback(run, study, index))
+            for index, shard in enumerate(study.transpile_shards)
+        ]
+    study.transpile_seconds += submit_timer.seconds
+
+
+def _collect_study(run: _SuiteRun, study: _PendingStudy) -> StudyResult:
+    """Collect unit: wait on a study's tasks, merge, cache, build its result.
+
+    Simulations were already queued by the last-shard callback; waiting on
+    the transpile and synthesis handles first both propagates worker
+    errors and guarantees the callbacks (which run before ``.get()``
+    returns) have finished.
+    """
+    tracer = get_tracer()
+    if study.rank_mode:
+        with tracer.timed(
+                "study.transpile", study=study.key,
+                shards=len(study.transpile_shards),
+                warm=len(study.transpile_warm)) as transpile_timer:
+            for handle in study.transpile_handles:
+                handle.get()
+        study.transpile_seconds += transpile_timer.seconds
+        study.raise_callback_error()
+    with tracer.timed("study.synthesis", study=study.key,
+                      shards=len(study.shards)) as synth_timer:
+        for handle in study.synth_handles:
+            handle.get()
+    study.raise_callback_error()
+    with tracer.timed("study.simulation", study=study.key,
+                      groups=len(study.groups)) as sim_timer:
+        per_group_columns = [handle.get() for handle in study.sim_handles]
+    with tracer.timed("study.merge", study=study.key) as merge_timer:
+        total_rows = sum(part.rows for part in per_group_columns)
+        trace = merge_shard_columns(per_group_columns, metadata={
+            "seed": study.config.seed,
+            "total_jobs": total_rows,
+            "months": study.config.months,
+            "trace_schema": TRACE_SCHEMA_VERSION,
+        })
+        cache_path = (run.cache.put(study.key, trace)
+                      if run.cache is not None else None)
+    timings = {"plan": study.plan_seconds,
+               "transpile": study.transpile_seconds,
+               "synthesis": synth_timer.seconds,
+               "simulation": sim_timer.seconds,
+               "merge": merge_timer.seconds}
+    for phase, seconds in timings.items():
+        get_registry().counter(
+            "repro_runner_phase_seconds_total", phase=phase,
+            help="Cumulative wall-clock seconds spent per study phase "
+                 "across every run_suite call.").inc(seconds)
+    timings["total"] = time.perf_counter() - study.started
+    result = run.result(study.key, study.config, trace, timings, cache_path,
+                        study)
+    run.tracker.emit("study-done", key=study.key, jobs=total_rows,
+                     seconds=round(result.total_seconds, 3))
+    return result
+
+
 def run_suite(
     studies: Sequence[Tuple[str, TraceGeneratorConfig]],
     pool: Optional[SharedWorkerPool] = None,
     *,
+    workers: Optional[int] = None,
     num_shards: Optional[int] = None,
     cache: Optional[Union[TraceCache, str, Path]] = None,
     use_cache: bool = True,
     lazy_cache: bool = False,
-    progress: Optional[ProgressCallback] = None,
     on_event: Optional[EventCallback] = None,
     should_stop: Optional[Callable[[], bool]] = None,
-    transpile_workers: Optional[int] = None,
 ) -> Dict[str, StudyResult]:
     """Run many distinct studies as one interleaved queue on a shared pool.
 
     ``studies`` is an ordered sequence of ``(fingerprint, config)`` pairs
     with distinct fingerprints (deduplicate identical expansions first —
-    the scenario engine does).  Cache hits are served immediately; every
-    miss has its synthesis shards queued up front, and a completion
-    callback queues its simulation groups the moment its last synthesis
-    shard lands, so the pool is never idle behind a per-study phase
-    barrier or the submission order of the suite.  Returns a dict keyed
+    the scenario engine does).  Each study is planned (cache hits served
+    immediately) and scheduled in turn: a miss has its synthesis shards
+    queued up front, and a completion callback queues its simulation
+    groups the moment its last synthesis shard lands, so the pool is never
+    idle behind a per-study phase barrier or the submission order of the
+    suite.  The studies are then collected in order.  Returns a dict keyed
     by fingerprint, in ``studies`` order.
 
     ``on_event`` receives structured :class:`SuiteEvent`s (shards
     completed / total with a wall-clock ETA, per-study completions) —
     possibly from the pool's result-handler thread.  ``should_stop`` is
     polled between studies; when it returns True the run raises
-    :class:`SuiteCancelled` (outstanding pool tasks finish in the
-    background and are discarded — the shared pool itself is untouched).
+    :class:`SuiteCancelled` (outstanding tasks of a shared pool finish in
+    the background and are discarded — the pool itself is untouched).
 
-    With ``pool=None`` a transient pool of :func:`default_workers` workers
-    is created for the call (terminated, not joined, if a task fails).
-    Suite timings are wall-clock *wait* times per phase — they overlap
-    across studies, unlike the exclusive per-phase timings of a solo run.
+    With ``pool=None`` the call owns a transient pool of ``workers``
+    workers (default :func:`default_workers`; ``workers`` is ignored when
+    a pool is given): closed on success, terminated — not joined — on an
+    exception or :class:`SuiteCancelled`, so a failed task can never hang
+    the caller.  ``num_shards`` (default: the pool width) sets both the
+    synthesis shards and, for rank-mode studies, the transpile shards of
+    each study.  Suite timings are wall-clock *wait* times per phase —
+    they overlap across studies, unlike the exclusive per-phase timings
+    of a solo run.
 
     Machine groups are simulated by :func:`repro.cloud.fastsim.
     simulate_fleet`, which is byte-identical to the discrete-event
@@ -525,8 +701,7 @@ def run_suite(
 
     Rank-mode studies (``scenario.ranking_objective`` set) run an extra
     **transpile** phase first: the study's cold equivalence-class pairs
-    are sharded across ``transpile_workers`` pool tasks (default: the pool
-    width), warm pairs come from the
+    are sharded across pool tasks, warm pairs come from the
     :class:`~repro.transpiler.cache.TranspileCache` living in the trace
     cache's directory, and the merged
     :class:`~repro.workloads.transpile_classes.ClassRankTable` ships with
@@ -538,322 +713,54 @@ def run_suite(
         raise WorkloadError(
             "run_suite requires distinct study fingerprints; deduplicate "
             "identical configs before scheduling them")
-    progress = progress or (lambda message: None)
     if cache is not None and not isinstance(cache, TraceCache):
         cache = TraceCache(cache)
-    if pool is None:
-        with SharedWorkerPool(default_workers()) as transient:
-            return run_suite(
-                studies, transient, num_shards=num_shards, cache=cache,
-                use_cache=use_cache, lazy_cache=lazy_cache,
-                progress=progress, on_event=on_event,
-                should_stop=should_stop,
-                transpile_workers=transpile_workers)
-
-    shards_per_study = max(1, int(num_shards if num_shards is not None
-                                  else pool.workers))
-    transpile_shards_per_study = max(
-        1, int(transpile_workers if transpile_workers is not None
-               else pool.workers))
-    transpile_cache = (TranspileCache(cache.root)
-                       if use_cache and cache is not None else None)
-    epoch = pool.next_epoch()
-    tracker = _SuiteTracker(on_event)
-    results: Dict[str, StudyResult] = {}
-    pending: List[_PendingStudy] = []
+    if not use_cache:
+        cache = None
+    registry = get_registry()
+    for outcome in ("simulated", "cache-hit"):
+        registry.counter("repro_runner_studies_total", outcome=outcome,
+                         help="Studies executed by run_suite, by outcome.")
 
     def _check_cancel():
         if should_stop is not None and should_stop():
             raise SuiteCancelled("suite run cancelled")
 
-    tracer = get_tracer()
-    studies_counter = get_registry().counter(
-        "repro_runner_studies_total", outcome="simulated",
-        help="Studies executed by run_suite, by outcome.")
-    cache_hit_counter = get_registry().counter(
-        "repro_runner_studies_total", outcome="cache-hit")
-
-    try:
-        # Phase 1 — serve cache hits; queue every miss's synthesis shards
-        # with completion callbacks that chain its simulations.
-        for key, config in studies:
-            _check_cancel()
-            started = time.perf_counter()
-            if use_cache and cache is not None:
-                cached = cache.get(key, lazy=lazy_cache)
-                if cached is not None:
-                    progress(f"cache hit for config {key}")
-                    tracker.emit("cache-hit", key=key, jobs=len(cached))
-                    cache_hit_counter.inc()
-                    # A cache hit still reports every phase — at zero
-                    # cost — so suite-level --profile-phases output stays
-                    # uniform; the zero-duration synthesis span marks the
-                    # skipped work in the trace view.
-                    now = time.perf_counter()
-                    tracer.instant("study.cache-hit", study=key,
-                                   jobs=len(cached))
-                    for phase in ("plan", "transpile", "synthesis",
-                                  "simulation", "merge"):
-                        tracer.record_span(
-                            f"study.{phase}", start=now, duration=0.0,
-                            args={"study": key, "cache_hit": True})
-                    results[key] = StudyResult(
-                        trace=cached,
-                        config=config,
-                        workers=pool.workers,
-                        num_shards=shards_per_study,
-                        cache_key=key,
-                        cache_hit=True,
-                        cache_path=cache.existing_path_for(key),
-                        timings={"plan": 0.0, "transpile": 0.0,
-                                 "synthesis": 0.0, "simulation": 0.0,
-                                 "merge": 0.0,
-                                 "total": time.perf_counter() - started},
-                    )
-                    continue
-            studies_counter.inc()
-            with tracer.timed("study.plan", study=key) as plan_timer:
-                submissions = plan_submissions(config)
-                shards = plan_shards(config, submissions, shards_per_study)
-            study = _PendingStudy(
-                key=key, config=config, shards=shards, started=started,
-                plan_seconds=plan_timer.seconds,
-                rank_mode=(config.scenario is not None
-                           and config.scenario.ranking_objective
-                           is not None),
-                num_submissions=len(submissions),
-                shard_jobs=[None] * len(shards),
-                shards_remaining=len(shards))
-            pending.append(study)
-            # Note: with an inline pool each submit runs (and may chain the
-            # study's later phases) synchronously right here.
-            if study.rank_mode:
-                # Rank mode: plan the equivalence-class transpiles, serve
-                # warm pairs from the disk cache, shard the cold ones.
-                # Synthesis is queued by the last transpile shard's
-                # completion callback (immediately, when nothing is cold).
-                with tracer.timed("study.transpile-plan",
-                                  study=key) as probe_timer:
-                    fleet = config.build_fleet()
-                    pairs, class_stats = plan_transpile_classes(config,
-                                                                fleet)
-                    warm, cold = _probe_transpile_cache(
-                        pairs, fleet, config, transpile_cache)
-                study.transpile_seconds = probe_timer.seconds
-                study.transpile_warm = warm
-                study.transpile_stats = {**class_stats, "warm": len(warm),
-                                         "cold": len(cold)}
-                progress(
-                    f"study {key} ranks over {class_stats['pairs']} class "
-                    f"transpiles ({len(warm)} cached) amortising "
-                    f"{class_stats['probes']} per-job probes"
-                )
-                if cold:
-                    study.transpile_shards = plan_transpile_shards(
-                        cold, transpile_shards_per_study)
-                    study.transpile_shard_summaries = \
-                        [None] * len(study.transpile_shards)
-                    study.transpile_remaining = len(study.transpile_shards)
-                    tracker.add_tasks(len(study.transpile_shards))
-                    tracker.emit("transpile-queued", key=key,
-                                 phase="transpile",
-                                 shards=len(study.transpile_shards),
-                                 pairs=len(cold), cached=len(warm))
-                    # Timed because an inline (workers == 1) pool runs the
-                    # shards synchronously right here — the phase-2 wait
-                    # would otherwise report a rank study's dominant cost
-                    # as zero.
-                    with tracer.timed("study.transpile-queue",
-                                      study=key) as submit_timer:
-                        study.transpile_handles = [
-                            pool.submit_transpile(
-                                epoch, key, config, shard,
-                                callback=_transpile_callback(
-                                    pool, epoch, study, index, tracker,
-                                    transpile_cache))
-                            for index, shard
-                            in enumerate(study.transpile_shards)
-                        ]
-                    study.transpile_seconds += submit_timer.seconds
-                else:
-                    _finish_transpile(pool, epoch, study, tracker,
-                                      transpile_cache)
-            else:
-                _queue_synthesis(pool, epoch, study, tracker)
-            progress(
-                f"queued {len(submissions)} submissions across {len(shards)} "
-                f"shards for study {key} ({pool.workers} workers)"
-            )
-
-        # Phase 2 — collect each study in order.  Simulations were already
-        # queued by the last-shard callbacks; waiting on the synthesis
-        # handles first both propagates worker errors and guarantees the
-        # callbacks (which run before ``.get()`` returns) have finished.
-        for study in pending:
-            _check_cancel()
-            if study.rank_mode:
-                with tracer.timed(
-                        "study.transpile", study=study.key,
-                        shards=len(study.transpile_shards),
-                        warm=len(study.transpile_warm)) as transpile_timer:
-                    for handle in study.transpile_handles:
-                        handle.get()
-                study.transpile_seconds += transpile_timer.seconds
-                if study.callback_error is not None:
-                    raise WorkloadError(
-                        f"scheduling study {study.key} failed: "
-                        f"{study.callback_error}") from study.callback_error
-                progress(
-                    f"transpiled {sum(map(len, study.transpile_shards))} "
-                    f"cold classes for study {study.key} in "
-                    f"{study.transpile_seconds:.1f}s")
-            with tracer.timed("study.synthesis", study=study.key,
-                              shards=len(study.shards)) as synth_timer:
-                for handle in study.synth_handles:
-                    handle.get()
-            study.synthesis_seconds = synth_timer.seconds
-            if study.callback_error is not None:
-                raise WorkloadError(
-                    f"scheduling study {study.key} failed: "
-                    f"{study.callback_error}") from study.callback_error
-            jobs_total = sum(len(shard_jobs)
-                             for shard_jobs in study.shard_jobs)
-            progress(f"synthesised {jobs_total} jobs for study {study.key} "
-                     f"in {study.synthesis_seconds:.1f}s")
-
-            with tracer.timed("study.simulation", study=study.key,
-                              groups=len(study.groups)) as sim_timer:
-                per_group_columns = [handle.get()
-                                     for handle in study.sim_handles]
-            study.simulation_seconds = sim_timer.seconds
-            progress(f"simulated {len(study.groups)} machine groups for "
-                     f"study {study.key} in {study.simulation_seconds:.1f}s")
-
-            with tracer.timed("study.merge", study=study.key) as merge_timer:
-                total_rows = sum(part.rows for part in per_group_columns)
-                trace = merge_shard_columns(per_group_columns, metadata={
-                    "seed": study.config.seed,
-                    "total_jobs": total_rows,
-                    "months": study.config.months,
-                    "trace_schema": TRACE_SCHEMA_VERSION,
-                })
-                cache_path = None
-                if use_cache and cache is not None:
-                    cache_path = cache.put(study.key, trace)
-            merge_seconds = merge_timer.seconds
-
-            for phase, seconds in (("plan", study.plan_seconds),
-                                   ("transpile", study.transpile_seconds),
-                                   ("synthesis", study.synthesis_seconds),
-                                   ("simulation", study.simulation_seconds),
-                                   ("merge", merge_seconds)):
-                get_registry().counter(
-                    "repro_runner_phase_seconds_total", phase=phase,
-                    help="Cumulative wall-clock seconds spent per study "
-                         "phase across every run_suite call.").inc(seconds)
-
-            results[study.key] = StudyResult(
-                trace=trace,
-                config=study.config,
-                workers=pool.workers,
-                num_shards=shards_per_study,
-                cache_key=study.key,
-                cache_hit=False,
-                cache_path=cache_path,
-                timings={
-                    "plan": study.plan_seconds,
-                    "transpile": study.transpile_seconds,
-                    "synthesis": study.synthesis_seconds,
-                    "simulation": study.simulation_seconds,
-                    "merge": merge_seconds,
-                    "total": time.perf_counter() - study.started,
-                },
-                shard_sizes=[len(shard) for shard in study.shards],
-                group_sizes=[group.expected_jobs for group in study.groups],
-                transpile=dict(study.transpile_stats),
-            )
-            tracker.emit(
-                "study-done", key=study.key, jobs=total_rows,
-                seconds=round(results[study.key].total_seconds, 3))
-
-        tracker.emit("suite-done", studies=len(studies),
-                     cache_hits=sum(1 for r in results.values()
-                                    if r.cache_hit))
-        return {key: results[key] for key, _ in studies}
-    finally:
-        # Abandoned tasks (cancel / worker failure) may still complete on
-        # the shared pool; silence their late events and let their epoch's
-        # worker state become evictable.
-        tracker.close()
-        pool.release_epoch(epoch)
-
-
-class StudyRunner:
-    """Runs one study config to a merged trace across worker processes.
-
-    Pass ``pool`` to schedule onto a long-lived
-    :class:`~repro.runner.pool.SharedWorkerPool` (the suite session);
-    without one, a transient pool of ``workers`` processes is created per
-    :meth:`run` and terminated — not joined — if a worker task raises, so a
-    failed map can never hang the run.
-    """
-
-    def __init__(
-        self,
-        config: Optional[TraceGeneratorConfig] = None,
-        workers: Optional[int] = None,
-        num_shards: Optional[int] = None,
-        cache: Optional[Union[TraceCache, str, Path]] = None,
-        progress: Optional[ProgressCallback] = None,
-        lazy_cache: bool = False,
-        pool: Optional[SharedWorkerPool] = None,
-        on_event: Optional[EventCallback] = None,
-        transpile_workers: Optional[int] = None,
-    ):
-        self.config = config or TraceGeneratorConfig()
-        self.pool = pool
-        self.transpile_workers = transpile_workers
-        default = pool.workers if pool is not None else default_workers()
-        self.workers = max(1, int(workers if workers is not None else default))
-        self.num_shards = max(1, int(num_shards if num_shards is not None
-                                     else self.workers))
-        if cache is not None and not isinstance(cache, TraceCache):
-            cache = TraceCache(cache)
-        self.cache = cache
-        #: serve cache hits as lazily loaded column datasets (cheap when the
-        #: consumer — e.g. a scenario comparison — reads a few columns)
-        self.lazy_cache = bool(lazy_cache)
-        self._progress = progress or (lambda message: None)
-        self._on_event = on_event
-
-    # -- execution ---------------------------------------------------------------------
-
-    def run(self, use_cache: bool = True) -> StudyResult:
-        """Produce the merged study trace (from cache when possible)."""
-        key = config_fingerprint(self.config)
-        pool = self.pool
-        owned = pool is None
-        if owned:
-            pool = SharedWorkerPool(self.workers)
+    owned = SharedWorkerPool(workers) if pool is None else nullcontext(pool)
+    with owned as pool:
+        run = _SuiteRun(
+            pool=pool, epoch=pool.next_epoch(),
+            tracker=_SuiteTracker(on_event),
+            num_shards=max(1, int(num_shards if num_shards is not None
+                                  else pool.workers)),
+            cache=cache,
+            transpile_cache=(TranspileCache(cache.root)
+                             if cache is not None else None),
+            lazy_cache=lazy_cache)
         try:
-            results = run_suite(
-                [(key, self.config)], pool,
-                num_shards=self.num_shards,
-                cache=self.cache,
-                use_cache=use_cache,
-                lazy_cache=self.lazy_cache,
-                progress=self._progress,
-                on_event=self._on_event,
-                transpile_workers=self.transpile_workers,
-            )
-        except BaseException:
-            if owned:
-                pool.terminate()
-            raise
-        else:
-            if owned:
-                pool.close()
-        return results[key]
+            results: Dict[str, StudyResult] = {}
+            pending: List[_PendingStudy] = []
+            for key, config in studies:
+                _check_cancel()
+                planned = _plan_study(run, key, config)
+                if isinstance(planned, StudyResult):
+                    results[key] = planned
+                else:
+                    pending.append(planned)
+                    _schedule_study(run, planned)
+            for study in pending:
+                _check_cancel()
+                results[study.key] = _collect_study(run, study)
+            run.tracker.emit("suite-done", studies=len(studies),
+                             cache_hits=sum(1 for r in results.values()
+                                            if r.cache_hit))
+            return {key: results[key] for key in keys}
+        finally:
+            # Abandoned tasks (cancel / worker failure) may still complete
+            # on a shared pool; silence their late events and let their
+            # epoch's worker state become evictable.
+            run.tracker.close()
+            pool.release_epoch(run.epoch)
 
 
 def run_study(
@@ -864,36 +771,29 @@ def run_study(
     config: Optional[TraceGeneratorConfig] = None,
     workers: Optional[int] = None,
     num_shards: Optional[int] = None,
-    cache_dir: Optional[Union[str, Path]] = None,
-    progress: Optional[ProgressCallback] = None,
+    cache_dir: Optional[Union[TraceCache, str, Path]] = None,
     use_cache: bool = True,
     lazy_cache: bool = False,
     pool: Optional[SharedWorkerPool] = None,
     on_event: Optional[EventCallback] = None,
-    transpile_workers: Optional[int] = None,
 ) -> StudyResult:
-    """One-call entry point: run a study config through the sharded runner.
+    """One-call entry point: run one study config as a suite of one.
 
     Either pass an explicit ``config`` or the common scalar knobs
-    (``total_jobs`` / ``months`` / ``seed``).  ``lazy_cache`` defaults to
-    False here (a plain study usually consumes the whole trace); the
-    scenario entry points default it to True because comparisons read a
-    handful of columns — the flag is threaded through either way.
+    (``total_jobs`` / ``months`` / ``seed``).  ``cache_dir`` is a
+    directory or a :class:`TraceCache`.  ``lazy_cache`` defaults to False
+    here (a plain study usually consumes the whole trace); the scenario
+    entry points default it to True because comparisons read a handful of
+    columns.  Pool ownership and every other knob are
+    :func:`run_suite`'s.
     """
     if config is None:
         kwargs: Dict[str, object] = {"total_jobs": total_jobs, "seed": seed}
         if months is not None:
             kwargs["months"] = months
         config = TraceGeneratorConfig(**kwargs)
-    runner = StudyRunner(
-        config,
-        workers=workers,
-        num_shards=num_shards,
-        cache=cache_dir,
-        progress=progress,
-        lazy_cache=lazy_cache,
-        pool=pool,
-        on_event=on_event,
-        transpile_workers=transpile_workers,
-    )
-    return runner.run(use_cache=use_cache)
+    key = config_fingerprint(config)
+    return run_suite(
+        [(key, config)], pool, workers=workers, num_shards=num_shards,
+        cache=cache_dir, use_cache=use_cache, lazy_cache=lazy_cache,
+        on_event=on_event)[key]

@@ -7,7 +7,9 @@ down) per study — which is what the pre-suite runner did and what made a
 ten-scenario catalog pay ten pool start-ups with every small scenario
 serialised behind the previous one — a single pool outlives any number of
 studies and executes their synthesis shards and machine-group simulations
-as one interleaved work queue.
+as one interleaved work queue.  A caller that passes no pool gets a
+transient one from :func:`~repro.runner.executor.run_suite`, the only place
+that builds and tears one down per call.
 
 Determinism is preserved by construction:
 
@@ -257,7 +259,7 @@ class SharedWorkerPool:
     """A reusable pool of study workers, shared across studies and suites.
 
     The pool is lazy (processes start on the first parallel submission) and
-    long-lived: hand one instance to several :class:`StudyRunner`s,
+    long-lived: hand one instance to several ``run_study`` calls,
     scenario-engine runs or gateway jobs — even from concurrent threads —
     and they all schedule onto the same workers.  Use it as a context
     manager — on a clean exit outstanding work is drained and the workers

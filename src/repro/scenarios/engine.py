@@ -15,6 +15,13 @@ to one independent ``run_study`` call per distinct expansion (tested).
 Any scenario whose expanded config was already generated — by a previous
 suite, by a plain ``run-study``, or by an identical sibling scenario — is
 served from the trace cache instead of being re-simulated.
+
+The engine holds no pool logic of its own: it hands ``pool`` (or
+``workers``, sizing a transient pool that ``run_suite`` owns) straight to
+the runner, and reports progress only through ``on_event``, as a stream
+of structured :class:`~repro.runner.executor.SuiteEvent` objects.  A
+scenario that shares a sibling's study is marked by
+:attr:`ScenarioRun.deduplicated_from`.
 """
 
 from __future__ import annotations
@@ -27,12 +34,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from repro.core.exceptions import ScenarioError
 from repro.devices.backend import Backend
 from repro.runner.cache import TraceCache, config_fingerprint
-from repro.runner.executor import (
-    EventCallback,
-    ProgressCallback,
-    StudyResult,
-    run_suite,
-)
+from repro.runner.executor import EventCallback, StudyResult, run_suite
 from repro.runner.pool import SharedWorkerPool
 from repro.scenarios.scenario import Scenario
 from repro.scenarios.sweep import expand_sweeps
@@ -141,8 +143,8 @@ class ScenarioEngine:
     so cache hits decompress lazily); the plain study runner defaults it to
     False.  Pass a :class:`~repro.runner.pool.SharedWorkerPool` as ``pool``
     to keep one set of workers alive across several ``run()`` calls —
-    without one, each suite run creates a transient pool (terminated, not
-    joined, if a worker task fails).
+    without one, each suite run owns a transient pool of ``workers``
+    processes (see :func:`~repro.runner.executor.run_suite`).
     """
 
     def __init__(
@@ -151,17 +153,12 @@ class ScenarioEngine:
         workers: Optional[int] = None,
         num_shards: Optional[int] = None,
         cache: Optional[Union[TraceCache, str, Path]] = None,
-        progress: Optional[ProgressCallback] = None,
         lazy_cache: bool = True,
         pool: Optional[SharedWorkerPool] = None,
         on_event: Optional[EventCallback] = None,
         should_stop: Optional[Callable[[], bool]] = None,
-        transpile_workers: Optional[int] = None,
     ):
         self.base_config = base_config or TraceGeneratorConfig()
-        #: transpile-shard count for rank-mode scenarios (None = pool width);
-        #: a runtime knob only — traces are identical for any value
-        self.transpile_workers = transpile_workers
         self.workers = workers
         self.num_shards = num_shards
         if cache is not None and not isinstance(cache, TraceCache):
@@ -169,10 +166,9 @@ class ScenarioEngine:
         self.cache = cache
         self.lazy_cache = lazy_cache
         self.pool = pool
-        self._progress = progress or (lambda message: None)
         #: structured progress events (shards done/total + ETA) forwarded
         #: to run_suite; the gateway streams these over NDJSON and the CLI
-        #: prints them under --progress
+        #: prints them on stderr
         self._on_event = on_event
         #: polled between studies by run_suite; True cancels the suite run
         self._should_stop = should_stop
@@ -215,40 +211,18 @@ class ScenarioEngine:
         distinct: Dict[str, TraceGeneratorConfig] = {}
         first_names: Dict[str, str] = {}
         for scenario, config, key in expansions:
-            if key not in distinct:
-                distinct[key] = config
-                first_names[key] = scenario.name
-            else:
-                self._progress(
-                    f"scenario {scenario.name!r} expands to the same study "
-                    f"as {first_names[key]!r}; sharing its trace")
-        self._progress(
-            f"scheduling {len(distinct)} distinct studies "
-            f"({len(expansions)} scenarios) on one shared pool")
-
-        pool = self.pool
-        owned = pool is None
-        if owned:
-            pool = SharedWorkerPool(self.workers)
-        try:
-            results = run_suite(
-                list(distinct.items()), pool,
-                num_shards=self.num_shards,
-                cache=self.cache,
-                use_cache=use_cache,
-                lazy_cache=self.lazy_cache,
-                progress=self._progress,
-                on_event=self._on_event,
-                should_stop=self._should_stop,
-                transpile_workers=self.transpile_workers,
-            )
-        except BaseException:
-            if owned:
-                pool.terminate()
-            raise
-        else:
-            if owned:
-                pool.close()
+            distinct.setdefault(key, config)
+            first_names.setdefault(key, scenario.name)
+        results = run_suite(
+            list(distinct.items()), self.pool,
+            workers=self.workers,
+            num_shards=self.num_shards,
+            cache=self.cache,
+            use_cache=use_cache,
+            lazy_cache=self.lazy_cache,
+            on_event=self._on_event,
+            should_stop=self._should_stop,
+        )
 
         for scenario, config, key in expansions:
             deduplicated_from = None
@@ -268,13 +242,11 @@ def run_scenarios(
     workers: Optional[int] = None,
     num_shards: Optional[int] = None,
     cache_dir: Optional[Union[str, Path]] = None,
-    progress: Optional[ProgressCallback] = None,
     use_cache: bool = True,
     lazy_cache: bool = True,
     pool: Optional[SharedWorkerPool] = None,
     on_event: Optional[EventCallback] = None,
     should_stop: Optional[Callable[[], bool]] = None,
-    transpile_workers: Optional[int] = None,
 ) -> ScenarioSuiteResult:
     """One-call entry point: run a scenario suite through the shared pool.
 
@@ -289,11 +261,9 @@ def run_scenarios(
         workers=workers,
         num_shards=num_shards,
         cache=cache_dir,
-        progress=progress,
         lazy_cache=lazy_cache,
         pool=pool,
         on_event=on_event,
         should_stop=should_stop,
-        transpile_workers=transpile_workers,
     )
     return scenario_engine.run(scenarios, use_cache=use_cache)

@@ -8,7 +8,8 @@ multiplexed, streamed workloads:
 
 * ``POST /jobs`` — submit a study/suite/sweep as JSON (the scenario spec
   payload of :func:`repro.scenarios.spec.parse_suite`, or catalog names),
-  per-tenant quota enforced, FIFO-fair across tenants;
+  per-tenant quota enforced, FIFO-fair across tenants; a body declared
+  larger than :data:`MAX_BODY_BYTES` is refused with 413 unread;
 * ``GET /jobs`` / ``GET /jobs/<id>`` — list / inspect submissions;
 * ``POST /jobs/<id>/cancel`` — dequeue a queued job (freeing its quota
   slot) or abort a running one between studies;
@@ -72,6 +73,15 @@ from repro.telemetry import get_registry, get_tracer, render_prometheus
 from repro.workloads.generator import TraceGeneratorConfig
 
 __all__ = ["StudyService", "resolve_submission", "serve"]
+
+#: Largest request body the gateway reads.  A larger ``Content-Length`` is
+#: refused with HTTP 413 before a byte of the body is read.
+MAX_BODY_BYTES = 1 << 20
+
+
+class _BodyTooLarge(ServiceError):
+    """A request declared a body over :data:`MAX_BODY_BYTES` (HTTP 413)."""
+
 
 #: top-level keys a submission payload may carry
 _SUBMISSION_KEYS = frozenset({
@@ -381,7 +391,15 @@ class _GatewayHandler(BaseHTTPRequestHandler):
         self._send_json(code, {"error": message})
 
     def _read_json(self) -> Dict[str, object]:
-        length = int(self.headers.get("Content-Length", 0))
+        declared = self.headers.get("Content-Length", "0")
+        try:
+            length = int(declared)
+        except ValueError:
+            raise ServiceError(f"Content-Length must be an integer, got "
+                               f"{declared!r}") from None
+        if length > MAX_BODY_BYTES:
+            raise _BodyTooLarge(f"request body of {length} bytes exceeds "
+                                f"the {MAX_BODY_BYTES}-byte limit")
         if length <= 0:
             raise ServiceError("request body must be a JSON object")
         raw = self.rfile.read(length)
@@ -493,6 +511,8 @@ class _GatewayHandler(BaseHTTPRequestHandler):
             self._send_error_json(429, str(exc))
         except UnknownJobError as exc:
             self._send_error_json(404, str(exc))
+        except _BodyTooLarge as exc:
+            self._send_error_json(413, str(exc))
         except ServiceError as exc:
             self._send_error_json(400, str(exc))
         except Exception as exc:  # malformed payloads must not kill threads

@@ -8,7 +8,7 @@ import pytest
 import repro.workloads.trace as trace_module
 from repro.core.exceptions import TraceSchemaError
 from repro.core.rng import BufferedDraws, RandomSource
-from repro.runner import StudyRunner, TraceCache, run_study
+from repro.runner import TraceCache, run_study
 from repro.workloads.generator import TraceGeneratorConfig
 from repro.workloads.trace import TRACE_SCHEMA_VERSION, TraceDataset
 
@@ -94,7 +94,7 @@ class TestSchemaMismatch:
     def test_cache_surfaces_trace_schema_mismatch(self, tmp_path):
         config = TraceGeneratorConfig(**CONFIG)
         cache = TraceCache(tmp_path / "cache")
-        result = StudyRunner(config, workers=1, cache=cache).run()
+        result = run_study(config=config, workers=1, cache_dir=cache)
         # Tamper with the stored entry: pretend an older generator wrote it.
         stale = TraceDataset.from_npz(result.cache_path)
         stale.metadata["trace_schema"] = TRACE_SCHEMA_VERSION - 1
@@ -108,7 +108,7 @@ class TestSchemaMismatch:
     def test_cache_surfaces_npz_layout_mismatch(self, tmp_path, monkeypatch):
         config = TraceGeneratorConfig(**CONFIG)
         cache = TraceCache(tmp_path / "cache")
-        result = StudyRunner(config, workers=1, cache=cache).run()
+        result = run_study(config=config, workers=1, cache_dir=cache)
         entry = TraceDataset.from_npz(result.cache_path)
         monkeypatch.setattr(trace_module, "NPZ_SCHEMA_VERSION", 999)
         entry.to_npz(result.cache_path)
@@ -120,9 +120,27 @@ class TestSchemaMismatch:
     def test_corrupt_entry_is_still_a_miss(self, tmp_path):
         config = TraceGeneratorConfig(**CONFIG)
         cache = TraceCache(tmp_path / "cache")
-        result = StudyRunner(config, workers=1, cache=cache).run()
+        result = run_study(config=config, workers=1, cache_dir=cache)
         result.cache_path.write_bytes(b"not a zip at all")
         assert cache.get(result.cache_key) is None
+
+    def test_truncated_entry_counts_as_corrupt_and_plain_miss_does_not(
+            self, tmp_path):
+        from repro.telemetry import get_registry
+
+        def corrupt_total():
+            return get_registry().value("repro_cache_corrupt_total")
+
+        config = TraceGeneratorConfig(**CONFIG)
+        cache = TraceCache(tmp_path / "cache")
+        result = run_study(config=config, workers=1, cache_dir=cache)
+        before = corrupt_total()
+        assert cache.get("0" * len(result.cache_key)) is None
+        assert corrupt_total() == before
+        data = result.cache_path.read_bytes()
+        result.cache_path.write_bytes(data[:len(data) // 2])
+        assert cache.get(result.cache_key) is None
+        assert corrupt_total() == before + 1
 
 
 class TestBufferedDraws:

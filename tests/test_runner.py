@@ -8,7 +8,6 @@ from repro.__main__ import main
 from repro.analysis import summarize
 from repro.core.exceptions import WorkloadError
 from repro.runner import (
-    StudyRunner,
     TraceCache,
     config_fingerprint,
     plan_machine_groups,
@@ -116,12 +115,12 @@ class TestTraceCache:
     def test_cache_roundtrip_and_hit_is_byte_identical(self, tmp_path):
         config = TraceGeneratorConfig(**CONFIG)
         cache = TraceCache(tmp_path / "cache")
-        first = StudyRunner(config, workers=1, cache=cache).run()
+        first = run_study(config=config, workers=1, cache_dir=cache)
         assert not first.cache_hit
         cached_bytes = cache.get_bytes(first.cache_key)
         assert cached_bytes is not None
 
-        second = StudyRunner(config, workers=1, cache=cache).run()
+        second = run_study(config=config, workers=1, cache_dir=cache)
         assert second.cache_hit
         assert second.cache_path == first.cache_path
         assert cache.get_bytes(second.cache_key) == cached_bytes
@@ -131,8 +130,9 @@ class TestTraceCache:
     def test_no_cache_bypasses_lookup(self, tmp_path):
         config = TraceGeneratorConfig(**CONFIG)
         cache = TraceCache(tmp_path / "cache")
-        StudyRunner(config, workers=1, cache=cache).run()
-        again = StudyRunner(config, workers=1, cache=cache).run(use_cache=False)
+        run_study(config=config, workers=1, cache_dir=cache)
+        again = run_study(config=config, workers=1, cache_dir=cache,
+                          use_cache=False)
         assert not again.cache_hit
 
     def test_fingerprint_changes_with_config(self):
@@ -181,6 +181,34 @@ class TestCommandLine:
         payload = json.loads(figures_path.read_text())
         assert payload["trace_summary"]["jobs"] == 40
         assert "fig3_queue_report" in payload
+
+    def test_progress_lines_follow_quiet_and_progress(self, capsys):
+        args = ["--jobs", "30", "--months", "2", "--seed", "5",
+                "--workers", "1", "--no-cache"]
+
+        def stderr_lines():
+            return [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("[repro] ")]
+
+        assert main(["run-study", *args]) == 0
+        lines = stderr_lines()
+        assert any(line.startswith("[repro] queued ") for line in lines)
+        assert any(" done (30 jobs, " in line for line in lines)
+        assert any(line.startswith("[repro] suite done: 1 studies")
+                   for line in lines)
+        assert not any(" shards (" in line for line in lines)
+
+        assert main(["run-study", *args, "--quiet"]) == 0
+        assert stderr_lines() == []
+
+        assert main(["run-scenarios", *args, "--scenarios", "baseline",
+                     "--progress"]) == 0
+        assert any(" shards (synthesis" in line for line in stderr_lines())
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run-study", *args, "--transpile-workers", "2"])
+        assert excinfo.value.code == 2
+        assert "--transpile-workers" in capsys.readouterr().err
 
     def test_bench_writes_artifact(self, tmp_path):
         artifact = tmp_path / "BENCH_runner.json"

@@ -217,6 +217,44 @@ class TestHttpErrors:
             client.submit({"bogus-key": 1})
         assert excinfo.value.status == 400
 
+    def test_oversized_body_is_413_unread_and_server_keeps_serving(
+            self, gateway):
+        import http.client
+        import json
+        from urllib.parse import urlparse
+
+        from repro.service.gateway import MAX_BODY_BYTES
+
+        _, make_client = gateway
+        client = make_client("alice")
+        url = urlparse(client.base_url)
+
+        def post_headers_only(content_length):
+            conn = http.client.HTTPConnection(url.hostname, url.port,
+                                              timeout=10)
+            try:
+                conn.putrequest("POST", "/jobs")
+                conn.putheader("Content-Type", "application/json")
+                conn.putheader("Content-Length", str(content_length))
+                conn.endheaders()
+                response = conn.getresponse()
+                return response.status, json.loads(response.read())
+            finally:
+                conn.close()
+
+        # No body bytes are sent: a server that tried to read the declared
+        # body would block until the client's timeout.
+        status, payload = post_headers_only(MAX_BODY_BYTES + 1)
+        assert status == 413
+        assert str(MAX_BODY_BYTES) in payload["error"]
+        status, payload = post_headers_only("twelve")
+        assert status == 400
+        assert "Content-Length" in payload["error"]
+        # The same server still accepts the next request.
+        assert client.health()["status"] == "ok"
+        final = client.wait(client.submit({"scenarios": ["baseline"]})["job"])
+        assert final["state"] == "done"
+
     def test_result_endpoint_serves_finished_jobs(self, gateway):
         _, make_client = gateway
         client = make_client("alice")

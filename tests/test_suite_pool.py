@@ -12,7 +12,6 @@ import pytest
 from repro.core.exceptions import ScenarioError, WorkloadError
 from repro.runner import (
     SharedWorkerPool,
-    StudyRunner,
     TraceCache,
     config_fingerprint,
     run_study,
@@ -128,7 +127,7 @@ class TestSuiteDeterminism:
         pool = SharedWorkerPool(2)
         pool.close()
         with pytest.raises(WorkloadError):
-            StudyRunner(base_config, pool=pool).run(use_cache=False)
+            run_study(config=base_config, pool=pool, use_cache=False)
 
     def test_epochs_are_unique_across_pool_instances(self):
         # Regression: per-instance epoch counters restarting at 1 let a
@@ -325,9 +324,24 @@ class TestFailurePaths:
         # Patch before the fork so the children inherit the failing task
         # (a module-level function, so apply_async can pickle it).
         monkeypatch.setattr(pool_module, "_synthesise_task", _exploding_task)
-        runner = StudyRunner(base_config, workers=2)
+        teardown = []
+
+        def spy(name):
+            original = getattr(SharedWorkerPool, name)
+
+            def recorded(self):
+                teardown.append(name)
+                return original(self)
+
+            return recorded
+
+        for name in ("close", "terminate"):
+            monkeypatch.setattr(SharedWorkerPool, name, spy(name))
         with pytest.raises(RuntimeError, match="worker blew up"):
-            runner.run(use_cache=False)
+            run_study(config=base_config, workers=2, use_cache=False)
+        # The transient pool run_study owns is terminated, not closed
+        # (close would wait on the queued work of a failed run).
+        assert teardown == ["terminate"]
 
     def test_simulation_outage_scenario_still_deterministic(
             self, base_config, tmp_path):

@@ -257,11 +257,16 @@ class TestRankStudyDeterminism:
 
     def test_cache_off_and_sharded_are_byte_identical(self, reference):
         _, cold = reference
-        for workers, shards, transpile_workers in ((1, 3, 2), (2, 1, 3)):
+        # The reference ran one transpile shard; these split the cold
+        # classes across several (num_shards sets both shard counts).
+        for workers, shards in ((1, 3), (2, 4)):
+            events = []
             rerun = run_study(config=_rank_config(), workers=workers,
-                              num_shards=shards,
-                              transpile_workers=transpile_workers,
-                              use_cache=False)
+                              num_shards=shards, use_cache=False,
+                              on_event=events.append)
+            queued = [event for event in events
+                      if event.kind == "transpile-queued"]
+            assert [event.detail["shards"] for event in queued] == [shards]
             assert _trace_bytes(rerun) == _trace_bytes(cold)
 
     def test_rank_policy_lands_in_the_trace(self, reference):
