@@ -6,8 +6,6 @@ This package provides the from-scratch circuit substrate the study needs:
   gates of IBM superconducting devices, matrices for simulation).
 * :mod:`repro.circuits.circuit` — :class:`QuantumCircuit`, the mutable list
   of instructions with the width/depth/CX metrics the paper analyses.
-* :mod:`repro.circuits.dag` — a DAG view used by transpiler passes and depth
-  computation.
 * :mod:`repro.circuits.library` — generators for the benchmark circuits the
   paper runs (QFT, GHZ, Bernstein-Vazirani, QAOA, VQE ansatz, random).
 * :mod:`repro.circuits.qasm` — a minimal OpenQASM 2 exporter/importer.
@@ -22,7 +20,6 @@ from repro.circuits.gates import (
     gate_matrix,
 )
 from repro.circuits.circuit import Instruction, QuantumCircuit
-from repro.circuits.dag import CircuitDAG, DAGNode
 from repro.circuits.library import (
     qft_circuit,
     qft_echo_circuit,
@@ -46,8 +43,6 @@ __all__ = [
     "gate_matrix",
     "Instruction",
     "QuantumCircuit",
-    "CircuitDAG",
-    "DAGNode",
     "qft_circuit",
     "qft_echo_circuit",
     "ghz_circuit",

@@ -35,11 +35,9 @@ and any worker/shard count, a study simulated through this engine produces
 the same ``.npz`` bytes as the event-loop engine
 (``tests/test_fastsim_golden.py`` enforces it).
 
-The event loop remains the golden reference — and the only engine usable
-for *live* interaction (e.g. :class:`~repro.workloads.generator.
-TraceGenerator`'s queue-sensitive users, which probe the service's pending
-estimate mid-stream); this engine requires the full submission list up
-front.
+The event loop remains the golden reference and the engine for live
+interaction with :class:`~repro.cloud.service.QuantumCloudService`; this
+engine requires the full submission list up front.
 """
 
 from __future__ import annotations

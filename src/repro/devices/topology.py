@@ -13,14 +13,16 @@ pairs of a sparse coupling graph.  This module provides:
 
 from __future__ import annotations
 
+import heapq
 import itertools
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
-
-import networkx as nx
+import random
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.exceptions import DeviceError
 
 Edge = Tuple[int, int]
+#: Qubit -> neighbours, both in edge-insertion order (values are unused).
+Adjacency = Dict[int, Dict[int, None]]
 
 
 class CouplingMap:
@@ -30,8 +32,7 @@ class CouplingMap:
         if num_qubits < 1:
             raise DeviceError("a coupling map needs at least one qubit")
         self.num_qubits = int(num_qubits)
-        self._graph = nx.Graph()
-        self._graph.add_nodes_from(range(self.num_qubits))
+        self._adjacency: Adjacency = {q: {} for q in range(self.num_qubits)}
         for a, b in edges:
             if a == b:
                 raise DeviceError(f"self-loop edge ({a}, {b}) is invalid")
@@ -39,16 +40,15 @@ class CouplingMap:
                 raise DeviceError(
                     f"edge ({a}, {b}) out of range for {num_qubits} qubits"
                 )
-            self._graph.add_edge(int(a), int(b))
+            a, b = int(a), int(b)
+            self._adjacency[a][b] = None
+            self._adjacency[b][a] = None
         self._distance_cache: Optional[Dict[int, Dict[int, int]]] = None
-        self._edges = tuple(sorted(tuple(sorted(edge))
-                                   for edge in self._graph.edges))
+        self._edges = tuple(sorted({(min(a, b), max(a, b))
+                                    for a, nbrs in self._adjacency.items()
+                                    for b in nbrs}))
 
     # -- basic structure -----------------------------------------------------------
-
-    @property
-    def graph(self) -> nx.Graph:
-        return self._graph
 
     @property
     def edges(self) -> List[Edge]:
@@ -56,26 +56,24 @@ class CouplingMap:
 
     @property
     def num_edges(self) -> int:
-        return self._graph.number_of_edges()
+        return len(self._edges)
 
     def neighbors(self, qubit: int) -> List[int]:
         self._check_qubit(qubit)
-        return sorted(self._graph.neighbors(qubit))
+        return sorted(self._adjacency[qubit])
 
     def degree(self, qubit: int) -> int:
         self._check_qubit(qubit)
-        return self._graph.degree(qubit)
+        return len(self._adjacency[qubit])
 
     def are_connected(self, qubit_a: int, qubit_b: int) -> bool:
         self._check_qubit(qubit_a)
         self._check_qubit(qubit_b)
-        return self._graph.has_edge(qubit_a, qubit_b)
+        return qubit_b in self._adjacency[qubit_a]
 
     def is_connected_graph(self) -> bool:
         """Whether the device graph is a single connected component."""
-        if self.num_qubits == 1:
-            return True
-        return nx.is_connected(self._graph)
+        return len(self._bfs(0)) == self.num_qubits
 
     def _check_qubit(self, qubit: int) -> None:
         if not 0 <= qubit < self.num_qubits:
@@ -85,9 +83,27 @@ class CouplingMap:
 
     # -- distances -----------------------------------------------------------------
 
+    def _bfs(self, source: int, within: Optional[Set[int]] = None
+             ) -> Dict[int, int]:
+        """Hop counts from ``source`` to the qubits it reaches (through
+        ``within`` only, when given)."""
+        adjacency = self._adjacency
+        hops = {source: 0}
+        frontier = [source]
+        while frontier:
+            next_frontier = []
+            for node in frontier:
+                for nbr in adjacency[node]:
+                    if nbr not in hops and (within is None or nbr in within):
+                        hops[nbr] = hops[node] + 1
+                        next_frontier.append(nbr)
+            frontier = next_frontier
+        return hops
+
     def _distances(self) -> Dict[int, Dict[int, int]]:
         if self._distance_cache is None:
-            self._distance_cache = dict(nx.all_pairs_shortest_path_length(self._graph))
+            self._distance_cache = {q: self._bfs(q)
+                                    for q in range(self.num_qubits)}
         return self._distance_cache
 
     def distance(self, qubit_a: int, qubit_b: int) -> int:
@@ -102,21 +118,31 @@ class CouplingMap:
             ) from None
 
     def shortest_path(self, qubit_a: int, qubit_b: int) -> List[int]:
+        """One shortest path from ``qubit_a`` to ``qubit_b``, endpoints
+        included; see :func:`_bidirectional_bfs` for which one."""
         self._check_qubit(qubit_a)
         self._check_qubit(qubit_b)
-        try:
-            return nx.shortest_path(self._graph, qubit_a, qubit_b)
-        except nx.NetworkXNoPath:
+        meeting = _bidirectional_bfs(self._adjacency, qubit_a, qubit_b)
+        if meeting is None:
             raise DeviceError(
                 f"qubits {qubit_a} and {qubit_b} are not connected"
-            ) from None
+            )
+        pred, succ, node = meeting
+        path = []
+        while node is not None:
+            path.append(node)
+            node = pred[node]
+        path.reverse()
+        node = succ[path[-1]]
+        while node is not None:
+            path.append(node)
+            node = succ[node]
+        return path
 
     def diameter(self) -> int:
         if not self.is_connected_graph():
             raise DeviceError("diameter undefined for disconnected coupling map")
-        if self.num_qubits == 1:
-            return 0
-        return nx.diameter(self._graph)
+        return max(max(hops.values()) for hops in self._distances().values())
 
     # -- bisection bandwidth (Fig. 6) ------------------------------------------------
 
@@ -131,53 +157,25 @@ class CouplingMap:
         """
         if self.num_qubits == 1:
             return 0
-        nodes = list(range(self.num_qubits))
-        half = self.num_qubits // 2
         if self.num_qubits <= exact_limit:
-            best = None
-            anchored = nodes[0]
-            others = nodes[1:]
-            for combo in itertools.combinations(others, half - 1 if half >= 1 else 0):
-                side = set(combo) | {anchored}
-                if len(side) != half:
-                    continue
-                cut = self._cut_size(side)
-                if best is None or cut < best:
-                    best = cut
-            if best is None:
-                # num_qubits == 2 edge case: the only balanced split.
-                best = self._cut_size({nodes[0]})
-            return best
-        return self._heuristic_bisection(half)
+            # Qubit 0 stays on the first side, so each split is counted once.
+            return min(self._cut_size({0, *combo}) for combo in
+                       itertools.combinations(range(1, self.num_qubits),
+                                              self.num_qubits // 2 - 1))
+        return min(self._cut_size(_kernighan_lin(self._adjacency, seed))
+                   for seed in range(5))
 
     def _cut_size(self, side: Set[int]) -> int:
-        return sum(
-            1 for a, b in self._graph.edges if (a in side) != (b in side)
-        )
-
-    def _heuristic_bisection(self, half: int) -> int:
-        best = None
-        for seed in range(5):
-            try:
-                partition = nx.algorithms.community.kernighan_lin_bisection(
-                    self._graph, max_iter=20, seed=seed
-                )
-            except Exception:  # pragma: no cover - networkx internal failure
-                continue
-            side = set(itertools.islice(iter(partition[0]), len(partition[0])))
-            cut = self._cut_size(side)
-            if best is None or cut < best:
-                best = cut
-        if best is None:  # pragma: no cover - fallback
-            best = self._cut_size(set(range(half)))
-        return best
+        return sum(1 for a, b in self._edges if (a in side) != (b in side))
 
     def subgraph_is_connected(self, qubits: Sequence[int]) -> bool:
         """Whether the induced subgraph over ``qubits`` is connected."""
         if not qubits:
             return False
-        sub = self._graph.subgraph(qubits)
-        return nx.is_connected(sub)
+        for qubit in qubits:
+            self._check_qubit(qubit)
+        members = set(qubits)
+        return len(self._bfs(qubits[0], within=members)) == len(members)
 
     def __repr__(self) -> str:
         return f"CouplingMap(qubits={self.num_qubits}, edges={self.num_edges})"
@@ -186,6 +184,102 @@ class CouplingMap:
         if not isinstance(other, CouplingMap):
             return NotImplemented
         return self.num_qubits == other.num_qubits and self.edges == other.edges
+
+
+# Transcriptions of NetworkX's routing and bisection algorithms: equal-cost
+# choices must resolve as NetworkX's do, because the pinned traces (SWAP
+# paths) and Fig. 6 values were computed with them.
+
+def _bidirectional_bfs(adjacency: Adjacency, source: int, target: int
+                       ) -> Optional[Tuple[Dict, Dict, int]]:
+    """NetworkX's ``_bidirectional_pred_succ``: BFS from both ends, the
+    smaller fringe first, giving ``(pred, succ, meeting node)`` or ``None``
+    when ``source`` cannot reach ``target``."""
+    pred: Dict[int, Optional[int]] = {source: None}
+    succ: Dict[int, Optional[int]] = {target: None}
+    if source == target:
+        return pred, succ, source
+    forward, reverse = [source], [target]
+    while forward and reverse:
+        if len(forward) <= len(reverse):
+            level, forward = forward, []
+            for v in level:
+                for w in adjacency[v]:
+                    if w not in pred:
+                        forward.append(w)
+                        pred[w] = v
+                    if w in succ:
+                        return pred, succ, w
+        else:
+            level, reverse = reverse, []
+            for v in level:
+                for w in adjacency[v]:
+                    if w not in succ:
+                        succ[w] = v
+                        reverse.append(w)
+                    if w in pred:
+                        return pred, succ, w
+    return None
+
+
+def _kernighan_lin(adjacency: Adjacency, seed: int) -> Set[int]:
+    """One side of NetworkX 3.x's ``kernighan_lin_bisection`` of a
+    unit-weight graph with ``max_iter=20``: a ``random.Random(seed)``
+    balanced split, then up to 20 sweeps, each keeping its best prefix of
+    moves."""
+    nodes = list(adjacency)
+    random.Random(seed).shuffle(nodes)
+    first = set(nodes[:len(nodes) // 2])
+    side = {node: int(node in first) for node in adjacency}
+    for _ in range(20):
+        costs = list(_kernighan_lin_sweep(adjacency, side))
+        min_cost, min_i, _ = min(costs)
+        if min_cost >= 0:
+            break
+        for _, _, (u, v) in costs[:min_i]:
+            side[u] = 1
+            side[v] = 0
+    return {node for node, s in side.items() if s == 0}
+
+
+def _kernighan_lin_sweep(adjacency: Adjacency, side: Dict[int, int]
+                         ) -> Iterator[Tuple[int, int, Edge]]:
+    """Move the cheapest node off each side in turn, yielding the running
+    cut change, the move count and the pair. Each side has a lazy heap of
+    ``(cost, insertion count, node)``, as NetworkX's ``BinaryHeap``."""
+    costs: Tuple[Dict[int, int], Dict[int, int]] = ({}, {})
+    heaps: Tuple[list, list] = ([], [])
+    counter = itertools.count()
+
+    def push(node: int, s: int, cost: int) -> None:
+        costs[s][node] = cost
+        heapq.heappush(heaps[s], (cost, next(counter), node))
+
+    def pop(s: int) -> Tuple[int, int]:
+        while True:
+            cost, _, node = heapq.heappop(heaps[s])
+            if costs[s].get(node) == cost:
+                del costs[s][node]
+                return node, cost
+
+    def moved(node: int) -> None:
+        for nbr in adjacency[node]:
+            s = side[nbr]
+            if nbr in costs[s]:
+                push(nbr, s, costs[s][nbr] + (-2 if s == side[node] else 2))
+
+    for u, nbrs in adjacency.items():
+        cost = sum(1 if side[v] else -1 for v in nbrs)
+        push(u, side[u], cost if side[u] else -cost)
+    total = moves = 0
+    while costs[0] and costs[1]:
+        u, cost_u = pop(0)
+        moved(u)
+        v, cost_v = pop(1)
+        moved(v)
+        total += cost_u + cost_v
+        moves += 1
+        yield total, moves, (u, v)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from repro.runner.cache import config_fingerprint
 from repro.runner.executor import run_study
 from repro.scenarios import resolve_scenarios, run_scenarios
 from repro.service.client import StudyServiceClient
-from repro.workloads.generator import TraceGeneratorConfig, TraceGenerator
+from repro.workloads.generator import TraceGeneratorConfig
 from repro.workloads.trace import TraceDataset
 
 CONFIG = dict(total_jobs=120, months=2, seed=19)
@@ -24,7 +24,8 @@ CONFIG = dict(total_jobs=120, months=2, seed=19)
 
 @pytest.fixture(scope="module")
 def plain_trace():
-    return TraceGenerator(TraceGeneratorConfig(**CONFIG)).generate()
+    return run_study(config=TraceGeneratorConfig(**CONFIG), workers=1,
+                     use_cache=False).trace
 
 
 def _records(trace):

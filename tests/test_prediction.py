@@ -35,6 +35,29 @@ def test_import_repro_leaves_scipy_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_repro_runs_without_networkx():
+    """The coupling-map algorithms are the package's own: with NetworkX
+    unimportable, the fleet, the Fig. 6 table and a level-3 transpile
+    (routing on the coupling map) all still work."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = "\n".join([
+        "import sys",
+        "sys.modules['networkx'] = None",
+        "sys.path.insert(0, %r)" % src,
+        "import repro",
+        "from repro.analysis.machines import bisection_bandwidth_table",
+        "from repro.circuits import qft_circuit",
+        "fleet = repro.fleet_in_study(seed=3)",
+        "rows = bisection_bandwidth_table(fleet)",
+        "result = repro.transpile(qft_circuit(5), fleet['ibmq_toronto'],",
+        "                         optimization_level=3)",
+        "print(len(rows), result.circuit.cx_count > 0)",
+    ])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split() == ["27", "True"]
+
+
 class TestFeatures:
     def test_feature_names_match_paper(self):
         assert FEATURE_NAMES == ("batch_size", "shots", "depth", "width",

@@ -1,7 +1,10 @@
 """Tests for repro.devices.topology."""
 
+import hashlib
+
 import pytest
 
+from repro.analysis.machines import bisection_bandwidth_table
 from repro.core.exceptions import DeviceError
 from repro.devices.topology import (
     CouplingMap,
@@ -57,6 +60,61 @@ class TestCouplingMap:
     def test_equality(self):
         assert line_topology(3) == line_topology(3)
         assert line_topology(3) != ring_topology(3)
+
+    def test_subgraph_is_connected(self):
+        cmap = t_topology()  # 0-1, 1-2, 1-3, 3-4
+        assert cmap.subgraph_is_connected([0, 1, 3, 4])
+        assert cmap.subgraph_is_connected([4])
+        assert not cmap.subgraph_is_connected([0, 2])
+        assert not cmap.subgraph_is_connected([])
+
+    @pytest.mark.parametrize("qubits", [[0, 99], [-1, 0]])
+    def test_subgraph_rejects_unknown_qubits(self, qubits):
+        with pytest.raises(DeviceError):
+            line_topology(5).subgraph_is_connected(qubits)
+
+    def test_diameter(self):
+        assert line_topology(5).diameter() == 4
+        assert line_topology(1).diameter() == 0
+        with pytest.raises(DeviceError):
+            CouplingMap(4, [(0, 1), (2, 3)]).diameter()
+
+
+#: Fig. 6 bisection bandwidths of the study fleet (seed 3). Machines above
+#: 14 qubits use the Kernighan-Lin heuristic, so these pin its partitions.
+FLEET_BISECTION = {
+    "ibmq_armonk": 0, "ibmq_athens": 1, "ibmq_belem": 2, "ibmq_bogota": 1,
+    "ibmq_burlington": 2, "ibmq_essex": 2, "ibmq_lima": 2, "ibmq_london": 2,
+    "ibmq_ourense": 2, "ibmq_quito": 2, "ibmq_rome": 1, "ibmq_santiago": 1,
+    "ibmq_valencia": 2, "ibmq_vigo": 2, "ibmqx2": 2, "ibmqx4": 2,
+    "ibmq_casablanca": 1, "ibmq_16_melbourne": 3, "ibmq_guadalupe": 1,
+    "ibmq_20_tokyo": 6, "ibmq_boeblingen": 6, "ibmq_johannesburg": 6,
+    "ibmq_poughkeepsie": 6, "ibmq_paris": 3, "ibmq_toronto": 3,
+    "ibmq_rochester": 3, "ibmq_manhattan": 4,
+}
+
+#: sha256 over every fleet map's all-pairs ``shortest_path``. Routing
+#: inserts SWAPs along these paths, so a change in how equal-length paths
+#: tie-break changes the transpiled circuits.
+FLEET_PATHS_SHA256 = (
+    "ac2ad6b27e0f421126f10df841ed90fab96841da6b87d8bdfcbd2a6b8fab414e")
+
+
+class TestFleetPins:
+    def test_bisection_bandwidth_table(self, fleet):
+        table = {row.machine: row.bisection_bandwidth
+                 for row in bisection_bandwidth_table(fleet)}
+        assert table == FLEET_BISECTION
+
+    def test_all_pairs_shortest_paths(self, fleet):
+        digest = hashlib.sha256()
+        for name in sorted(fleet):
+            cmap = fleet[name].coupling_map
+            for a in range(cmap.num_qubits):
+                for b in range(cmap.num_qubits):
+                    path = cmap.shortest_path(a, b)
+                    digest.update(f"{name} {a} {b} {path}\n".encode())
+        assert digest.hexdigest() == FLEET_PATHS_SHA256
 
 
 class TestBisectionBandwidth:
